@@ -31,8 +31,11 @@
 //! Storage is a flat CSR: `index[v]..index[v+1]` brackets `v`'s entries in
 //! `hubs`/`dists`, hubs sorted ascending by node id so lookups are sorted
 //! merges. [`LabelBuckets`] inverts a target set's labels (hub →
-//! `(target, dist)` rows) for one-to-many scans: one pass over the source
-//! label touches every target sharing a hub with it.
+//! `(target, dist)` rows, each row ascending by distance) so one pass over
+//! the source label answers a whole target set: every one-to-many shape —
+//! [`HubLabels::one_to_many`], the bounded [`HubLabels::scan_within`], the
+//! bucket kNN [`HubLabels::knn`] — is the same loop over `s`'s hubs, and a
+//! bound turns each row walk into a prefix walk.
 
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -298,7 +301,9 @@ impl HubLabels {
     }
 
     /// Invert `targets`' labels into hub-grouped buckets for repeated
-    /// one-to-many scans against varying sources.
+    /// one-to-many scans against varying sources. A target's *rank* is its
+    /// position in `targets`; every hub row comes out ascending by
+    /// `(dist, rank)`, which is what lets a bounded scan stop early.
     pub fn buckets(&self, targets: &[NodeId]) -> LabelBuckets {
         let mut counts = vec![0u32; self.n + 1];
         for &t in targets {
@@ -320,6 +325,9 @@ impl HubLabels {
                 fill[h.index()] += 1;
             }
         }
+        for row in index.windows(2) {
+            entries[row[0] as usize..row[1] as usize].sort_unstable_by_key(|&(rank, d)| (d, rank));
+        }
         LabelBuckets {
             num_targets: targets.len(),
             index,
@@ -327,37 +335,135 @@ impl HubLabels {
         }
     }
 
+    /// The one bucket loop behind every one-to-many shape: walk `s`'s own
+    /// label, skip hubs farther than `bound`, walk each reached row (at most
+    /// its first `take` entries) only while `d(s,h) + d(h,t) ≤ bound`, and
+    /// min-fold the sums into the dense per-rank `best`. `first_touch` sees
+    /// a rank the first time it drops below [`INFINITY`]. Returns the
+    /// entries walked (source label + bucket entries).
+    fn fold_within(
+        &self,
+        s: NodeId,
+        buckets: &LabelBuckets,
+        bound: Dist,
+        take: usize,
+        best: &mut [Dist],
+        mut first_touch: impl FnMut(u32),
+    ) -> u64 {
+        // A sum of exactly INFINITY is "unreachable", never a distance.
+        let bound = bound.min(INFINITY - 1);
+        let (hs, ds) = self.label_of(s);
+        let mut walked = hs.len() as u64;
+        for (h, &dv) in hs.iter().zip(ds) {
+            if dv > bound {
+                continue;
+            }
+            let room = bound - dv;
+            let row = buckets.row(*h);
+            for &(rank, dt) in &row[..row.len().min(take)] {
+                if dt > room {
+                    break;
+                }
+                walked += 1;
+                let slot = &mut best[rank as usize];
+                if *slot == INFINITY {
+                    first_touch(rank);
+                }
+                *slot = (*slot).min(dv + dt);
+            }
+        }
+        walked
+    }
+
+    /// Move the folded distances of `out`'s ranks out of `scratch`,
+    /// restoring it to all-[`INFINITY`].
+    fn drain(scratch: &mut [Dist], out: &mut [(Dist, u32)]) {
+        for (d, rank) in out {
+            *d = std::mem::replace(&mut scratch[*rank as usize], INFINITY);
+        }
+    }
+
     /// One-to-many distances: `out[rank]` = exact distance from `s` to the
     /// target with that rank in the bucket set ([`INFINITY`] when
-    /// unreachable). One pass over `s`'s label; returns the entries
-    /// scanned (source label + touched bucket rows).
+    /// unreachable). The unbounded case of [`scan_within`](Self::scan_within):
+    /// one pass over `s`'s label, every touched row walked whole; returns
+    /// the entries scanned.
     pub fn one_to_many(&self, s: NodeId, buckets: &LabelBuckets, out: &mut Vec<Dist>) -> u64 {
         out.clear();
         out.resize(buckets.num_targets, INFINITY);
-        let (hs, ds) = self.label_of(s);
-        let mut scanned = hs.len() as u64;
-        for (h, &dv) in hs.iter().zip(ds) {
-            let (a, b) = (
-                buckets.index[h.index()] as usize,
-                buckets.index[h.index() + 1] as usize,
-            );
-            scanned += (b - a) as u64;
-            for &(rank, dt) in &buckets.entries[a..b] {
-                let d = dist_add(dv, dt);
-                let slot = &mut out[rank as usize];
-                if d < *slot {
-                    *slot = d;
-                }
-            }
+        self.fold_within(s, buckets, INFINITY, usize::MAX, out, |_| {})
+    }
+
+    /// Bounded one-to-many: every target within `bound` of `s`, once, with
+    /// its exact distance, as `(dist, rank)` in first-reached order.
+    /// Unreachable targets never qualify, whatever the bound. Only hubs
+    /// within `bound` of `s` and the row prefixes that can still meet the
+    /// bound are walked, so a local query costs what its neighbourhood
+    /// holds, not what the target set holds. `scratch` is the dense
+    /// per-rank fold buffer: all-[`INFINITY`] on entry (an empty vector
+    /// qualifies — it is sized here) and all-[`INFINITY`] again on return.
+    /// Returns the entries scanned.
+    pub fn scan_within(
+        &self,
+        s: NodeId,
+        buckets: &LabelBuckets,
+        bound: Dist,
+        scratch: &mut Vec<Dist>,
+        out: &mut Vec<(Dist, u32)>,
+    ) -> u64 {
+        out.clear();
+        scratch.resize(buckets.num_targets, INFINITY);
+        let walked = self.fold_within(s, buckets, bound, usize::MAX, scratch, |rank| {
+            out.push((INFINITY, rank))
+        });
+        Self::drain(scratch, out);
+        walked
+    }
+
+    /// Bucket kNN: the `k` targets nearest to `s` as `(dist, rank)`,
+    /// ascending, ties at the cut going to the lower rank — element-wise
+    /// what sorting every reachable target by `(dist, rank)` and truncating
+    /// to `k` yields. Two passes: folding only the first `k` entries of each
+    /// row gives upper bounds on at least `k` distinct targets whenever any
+    /// row holds `k` (and exact distances on everything reachable
+    /// otherwise — then the probe is the answer), so the `k`-th smallest of
+    /// them bounds the true `k`-th distance; one
+    /// [`scan_within`](Self::scan_within) at that bound then collects every
+    /// candidate. `scratch` as for `scan_within`. Returns the entries
+    /// scanned across both passes.
+    pub fn knn(
+        &self,
+        s: NodeId,
+        buckets: &LabelBuckets,
+        k: usize,
+        scratch: &mut Vec<Dist>,
+        out: &mut Vec<(Dist, u32)>,
+    ) -> u64 {
+        out.clear();
+        if k == 0 {
+            return 0;
         }
-        scanned
+        scratch.resize(buckets.num_targets, INFINITY);
+        let mut walked = self.fold_within(s, buckets, INFINITY, k, scratch, |rank| {
+            out.push((INFINITY, rank))
+        });
+        Self::drain(scratch, out);
+        // Fewer than `k` hits means no row was cut short: the probe
+        // already holds every reachable target, exactly.
+        if out.len() >= k {
+            let bound = out.select_nth_unstable(k - 1).1 .0;
+            walked += self.scan_within(s, buckets, bound, scratch, out);
+        }
+        out.sort_unstable();
+        out.truncate(k);
+        walked
     }
 }
 
 /// A target set's labels regrouped by hub: row `h` lists `(target rank,
-/// d(target, h))` for every target whose label contains `h`. Built once
-/// per target set ([`HubLabels::buckets`]), scanned once per source
-/// ([`HubLabels::one_to_many`]).
+/// d(target, h))` for every target whose label contains `h`, ascending by
+/// `(dist, rank)`. Built once per target set ([`HubLabels::buckets`]),
+/// scanned once per source ([`HubLabels::scan_within`] and its siblings).
 #[derive(Clone, Debug)]
 pub struct LabelBuckets {
     num_targets: usize,
@@ -373,11 +479,23 @@ impl LabelBuckets {
         self.num_targets
     }
 
-    /// Total label entries folded into the buckets (the build cost, and
-    /// the accounting charge for constructing them).
+    /// Total label entries folded into the buckets.
     #[inline]
     pub fn num_entries(&self) -> usize {
         self.entries.len()
+    }
+
+    /// In-memory footprint of the CSR arrays, bytes.
+    pub fn bytes(&self) -> usize {
+        self.index.len() * std::mem::size_of::<u32>()
+            + self.entries.len() * std::mem::size_of::<(u32, Dist)>()
+    }
+
+    /// Hub `h`'s row: `(target rank, d(target, h))`, ascending by
+    /// `(dist, rank)`.
+    #[inline]
+    pub fn row(&self, h: NodeId) -> &[(u32, Dist)] {
+        &self.entries[self.index[h.index()] as usize..self.index[h.index() + 1] as usize]
     }
 }
 

@@ -21,9 +21,13 @@
 //!   distance vectors for index builds without per-object full Dijkstra.
 //! * **Hub labels** ([`labels`]): canonical 2-hop labels extracted from the
 //!   hierarchy's upward search spaces — point-to-point becomes one sorted
-//!   merge of two small arrays ([`HubLabels::p2p`]), one-to-many one pass
-//!   over hub-grouped buckets ([`HubLabels::one_to_many`]); no graph
-//!   traversal at query time at all.
+//!   merge of two small arrays ([`HubLabels::p2p`]); one-to-many becomes
+//!   one pass over the source label against a target set's distance-sorted
+//!   hub buckets ([`LabelBuckets`]), bounded so it reads only row prefixes
+//!   that can still qualify ([`HubLabels::scan_within`] for range-shaped
+//!   queries, [`HubLabels::knn`] for the bucket kNN,
+//!   [`HubLabels::one_to_many`] for the unbounded case); no graph traversal
+//!   at query time at all.
 //!
 //! Witness searches, upward searches, and the PHAST upward phase all run on
 //! [`dsi_graph::SsspWorkspace`] through its external-search API

@@ -4,10 +4,13 @@
 //! pair — including unreachable pairs, where all three agree on
 //! [`INFINITY`] — and every built label must satisfy the canonicality
 //! invariant (sorted hubs, a zero-distance self entry, no entry prunable
-//! through another shared hub).
+//! through another shared hub). The bucket primitives are pinned to the
+//! same merges: a bounded scan is exactly `{t : p2p(s, t) ≤ bound}`, the
+//! bucket kNN exactly sort-everything-then-truncate, ties at the cut
+//! included.
 
 use dsi_graph::ids::dist_add;
-use dsi_graph::{sssp, NetworkBuilder, NodeId, Point, RoadNetwork, INFINITY};
+use dsi_graph::{sssp, Dist, NetworkBuilder, NodeId, Point, RoadNetwork, INFINITY};
 use dsi_hierarchy::{ChConfig, ChWorkspace, ContractionHierarchy, HubLabels};
 use proptest::prelude::*;
 
@@ -15,12 +18,19 @@ use proptest::prelude::*;
 /// edges. With two clusters and no bridges the network is disconnected —
 /// the case where the oracle must answer `INFINITY`, never a junk merge.
 fn arb_network() -> impl Strategy<Value = RoadNetwork> {
+    arb_network_with(40)
+}
+
+/// [`arb_network`] with every edge weight drawn from `1..max_w`: a narrow
+/// range (`max_w = 3`) packs the distance spectrum with ties, so a kNN cut
+/// almost always lands inside a group of equidistant targets.
+fn arb_network_with(max_w: u32) -> impl Strategy<Value = RoadNetwork> {
     (
         3usize..14,
         0usize..14,
-        proptest::collection::vec((0usize..28, 0usize..28, 1u32..40), 0..24),
-        proptest::collection::vec(1u32..40, 28),
-        proptest::collection::vec((0usize..28, 0usize..28, 1u32..40), 0..3),
+        proptest::collection::vec((0usize..28, 0usize..28, 1u32..max_w), 0..24),
+        proptest::collection::vec(1u32..max_w, 28),
+        proptest::collection::vec((0usize..28, 0usize..28, 1u32..max_w), 0..3),
     )
         .prop_map(|(n1, n2, chords, ring_w, bridges)| {
             let mut b = NetworkBuilder::new();
@@ -116,16 +126,23 @@ proptest! {
         }
     }
 
-    /// The one-to-many bucket scan returns exactly the pairwise merges.
+    /// The one-to-many bucket scan returns exactly the pairwise merges,
+    /// and every bucket row it walks is distance-ascending.
     #[test]
     fn one_to_many_matches_pairwise(net in arb_network(), picks in proptest::collection::vec(0usize..28, 1..8)) {
-        let ch = ContractionHierarchy::build(&net, &ChConfig::default());
-        let hl = HubLabels::build(&ch);
-        let targets: Vec<NodeId> = picks
-            .iter()
-            .map(|&p| NodeId((p % net.num_nodes()) as u32))
-            .collect();
+        let (hl, targets) = labels_and_targets(&net, &picks);
         let buckets = hl.buckets(&targets);
+        prop_assert_eq!(buckets.num_targets(), targets.len());
+        for h in net.nodes() {
+            let row = buckets.row(h);
+            prop_assert!(
+                row.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
+                "row of {} not (dist, rank)-ascending: {:?}", h, row
+            );
+            for &(rank, d) in row {
+                prop_assert_eq!(hl.p2p(h, targets[rank as usize]), d, "row entry of {}", h);
+            }
+        }
         let mut out = Vec::new();
         for s in net.nodes() {
             hl.one_to_many(s, &buckets, &mut out);
@@ -134,4 +151,77 @@ proptest! {
             }
         }
     }
+
+    /// A bounded scan is exactly `{t : p2p(s, t) ≤ bound}` with exact
+    /// distances, each target once — at bound 0, mid-range, `INFINITY - 1`
+    /// and `INFINITY` (where unreachable targets still never qualify) —
+    /// and hands its scratch back all-`INFINITY`. The target set may be
+    /// empty, span both components, and contain `s` itself.
+    #[test]
+    fn scan_within_matches_filtered_merges(
+        net in arb_network_with(3),
+        picks in proptest::collection::vec(0usize..28, 0..10),
+        mid in 0u32..12,
+    ) {
+        let (hl, targets) = labels_and_targets(&net, &picks);
+        let buckets = hl.buckets(&targets);
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        for s in net.nodes() {
+            for bound in [0, mid, INFINITY - 1, INFINITY] {
+                let scanned = hl.scan_within(s, &buckets, bound, &mut scratch, &mut out);
+                prop_assert!(scanned >= hl.label_of(s).0.len() as u64);
+                prop_assert!(scratch.iter().all(|&d| d == INFINITY), "scratch left dirty");
+                prop_assert_eq!(scratch.len(), targets.len());
+                out.sort_unstable_by_key(|&(d, rank)| (rank, d));
+                let want: Vec<(Dist, u32)> = targets
+                    .iter()
+                    .enumerate()
+                    .map(|(rank, &t)| (hl.p2p(s, t), rank as u32))
+                    .filter(|&(d, _)| d != INFINITY && d <= bound)
+                    .collect();
+                prop_assert_eq!(&out, &want, "scan_within({}, bound {})", s, bound);
+            }
+        }
+    }
+
+    /// The bucket kNN is element-wise the sort-all-by-`(dist, rank)`-and-
+    /// truncate answer for k = 0, 1, |targets| and past it, on tie-heavy
+    /// networks (the cut lands inside an equidistant group and must keep
+    /// the lower ranks), across disconnected components, with an empty
+    /// target set, and with `s` among the targets.
+    #[test]
+    fn bucket_knn_matches_sort_and_truncate(
+        net in arb_network_with(3),
+        picks in proptest::collection::vec(0usize..28, 0..10),
+        k_mid in 2usize..6,
+    ) {
+        let (hl, targets) = labels_and_targets(&net, &picks);
+        let buckets = hl.buckets(&targets);
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        for s in net.nodes() {
+            let mut all: Vec<(Dist, u32)> = targets
+                .iter()
+                .enumerate()
+                .map(|(rank, &t)| (hl.p2p(s, t), rank as u32))
+                .filter(|&(d, _)| d != INFINITY)
+                .collect();
+            all.sort_unstable();
+            for k in [0, 1, k_mid, targets.len(), targets.len() + 3] {
+                hl.knn(s, &buckets, k, &mut scratch, &mut out);
+                prop_assert!(scratch.iter().all(|&d| d == INFINITY), "scratch left dirty");
+                prop_assert_eq!(&out[..], &all[..k.min(all.len())], "knn({}, k = {})", s, k);
+            }
+        }
+    }
+}
+
+/// Labels of `net` plus a target list picked from its nodes. Repeats stay
+/// in: two ranks on one node are two equidistant targets, one more tie.
+fn labels_and_targets(net: &RoadNetwork, picks: &[usize]) -> (HubLabels, Vec<NodeId>) {
+    let ch = ContractionHierarchy::build(net, &ChConfig::default());
+    let targets = picks
+        .iter()
+        .map(|&p| NodeId((p % net.num_nodes()) as u32))
+        .collect();
+    (HubLabels::build(&ch), targets)
 }

@@ -18,8 +18,7 @@
 //! dist)` entry it advances over is counted, in
 //! [`OpStats::label_lookups`](dsi_signature::OpStats) /
 //! [`OpStats::label_entries_scanned`](dsi_signature::OpStats) on the
-//! session (the frontier Dijkstra this replaces charged
-//! `OpStats::frontier_hops`, which the router no longer touches).
+//! session.
 //!
 //! Bounded queries (range, aggregate) only seed the virtual source with
 //! boundary pseudo-objects the local range operator certified within `ε` —

@@ -180,7 +180,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20                 auto (default; per-request crossover heuristic)\n\
                      --backend B       query engine: signature (default), ine (Dijkstra\n\
                      \x20                 expansion), ch (contraction hierarchy), hl (hub\n\
-                     \x20                 labels: one sorted merge per distance), or\n\
+                     \x20                 labels: bucket scans for kNN/join, merges otherwise), or\n\
                      \x20                 sharded (partition router); the DSI_BACKEND env\n\
                      \x20                 var pre-selects it\n\
                      --partitions K    split the network into K regions with one signature\n\

@@ -68,11 +68,19 @@
 //! contraction hierarchy — each distance is one bidirectional upward
 //! search in a per-worker [`ChWorkspace`] — an exact, memory-resident
 //! oracle whose search space is a small fraction of the network. The
-//! [`Backend::HubLabel`] backend goes one step further: hub labels
-//! extracted from that hierarchy answer each distance with a single
-//! sorted merge of two short label arrays — no graph search at all —
-//! and joins invert the object labels once into hub buckets and answer
-//! each source with one one-to-many scan. All four return element-wise
+//! [`Backend::HubLabel`] backend does no graph search at all: hub labels
+//! extracted from that hierarchy answer a distance with one sorted merge
+//! of two short label arrays, and every epoch also inverts its object
+//! hosts' labels once into distance-sorted buckets ([`LabelBuckets`]) so
+//! that one bounded scan ([`HubLabels::scan_within`]) — the source's own
+//! label, then for each of its hubs within the bound the prefix of that
+//! hub's bucket that can still meet it — finds the nearby objects without
+//! looking at the rest. kNN scans at an upper bound on the k-th distance
+//! read off the bucket heads ([`HubLabels::knn`]) and the self ε-join runs
+//! one ε-bounded scan per source object, so both cost what the
+//! neighbourhood holds, not `|objects|`; range and aggregate still merge
+//! the query node's label against every object's (see
+//! `QueryService::execute_hub_label`). All four return element-wise
 //! identical results.
 //!
 //! # Graceful degradation
@@ -99,7 +107,7 @@ use dsi_graph::io::{load_network, read_objects, write_network, write_objects, Lo
 use dsi_graph::{
     DijkstraExpansion, Dist, NodeId, ObjectId, ObjectSet, RoadNetwork, SsspWorkspace, INFINITY,
 };
-use dsi_hierarchy::{ChConfig, ChWorkspace, ContractionHierarchy, HubLabels};
+use dsi_hierarchy::{ChConfig, ChWorkspace, ContractionHierarchy, HubLabels, LabelBuckets};
 use dsi_partition::PartitionedIndex;
 use dsi_signature::query::aggregate::RangeAggregate;
 use dsi_signature::query::join::try_self_epsilon_join;
@@ -139,12 +147,13 @@ pub enum Backend {
     /// per-worker workspace, memory-resident (no paging model). Requires
     /// [`ServiceConfig::hierarchy`].
     Hierarchy,
-    /// Hub-label distance oracle: every distance is one sorted merge of
-    /// two precomputed label arrays (`O(|L(s)| + |L(t)|)`, no graph
-    /// search); joins run as one-to-many bucket scans over inverted
-    /// object labels. Memory-resident, no paging model, no per-query
-    /// workspace. Requires [`ServiceConfig::hierarchy`] (labels are
-    /// extracted from the epoch's contraction hierarchy).
+    /// Hub-label distance oracle, no graph search: kNN and the self
+    /// ε-join are bounded scans of the epoch's distance-sorted object
+    /// buckets (one from the query node's label, one per source object);
+    /// range and aggregate are one sorted merge of two label arrays per
+    /// object. Memory-resident, no paging model. Requires
+    /// [`ServiceConfig::hierarchy`] (labels are extracted from the epoch's
+    /// contraction hierarchy).
     HubLabel,
     /// The shard router over K partitioned signature indexes
     /// ([`ServiceConfig::partitions`]): each query runs its home region's
@@ -370,6 +379,61 @@ impl Drop for EpochPages {
     }
 }
 
+/// An epoch's label oracle: hub labels for every node plus the object
+/// hosts' labels inverted into distance-sorted buckets, so a scan runs
+/// outward from the source's own label instead of merging against every
+/// object.
+/// `ObjectSet` ids are dense and the buckets are built over
+/// `host_nodes()` in id order, so a bucket rank *is* an object id.
+struct ObjectLabels {
+    hl: HubLabels,
+    buckets: LabelBuckets,
+}
+
+impl ObjectLabels {
+    /// Extract labels from the epoch's hierarchy and bucket the object
+    /// hosts — once per epoch, on every path that builds one.
+    fn build(ch: &ContractionHierarchy, objects: &ObjectSet) -> ObjectLabels {
+        let hl = HubLabels::build(ch);
+        let buckets = hl.buckets(objects.host_nodes());
+        ObjectLabels { hl, buckets }
+    }
+
+    /// Object `a`'s share of a self ε-join: one ε-bounded scan from its
+    /// host, keeping the partners `b > a`. Returns the entries scanned.
+    fn join_row(
+        &self,
+        objects: &ObjectSet,
+        a: ObjectId,
+        eps: Dist,
+        sc: &mut Scratch,
+        pairs: &mut Vec<(ObjectId, ObjectId)>,
+    ) -> u64 {
+        let host = objects.node_of(a);
+        let scanned = self
+            .hl
+            .scan_within(host, &self.buckets, eps, &mut sc.dense, &mut sc.hits);
+        pairs.extend(
+            sc.hits
+                .iter()
+                .filter(|&&(_, b)| b > a.0)
+                .map(|&(_, b)| (a, ObjectId(b))),
+        );
+        scanned
+    }
+}
+
+/// One worker's reusable query state, one of each kind: allocated once per
+/// worker, reset in O(touched) between queries.
+#[derive(Default)]
+struct Scratch {
+    sssp: SsspWorkspace,
+    ch: ChWorkspace,
+    /// Dense per-object fold buffer and hit list of the label scans.
+    dense: Vec<Dist>,
+    hits: Vec<(Dist, u32)>,
+}
+
 /// One immutable index generation: everything a query batch touches,
 /// published wholesale by an `Arc` swap. Batches pin an epoch for their
 /// entire run; the stripes (and the counters inside them) are per-epoch.
@@ -379,9 +443,9 @@ pub struct EpochIndex {
     objects: Arc<ObjectSet>,
     index: Arc<SignatureIndex>,
     ch: Option<Arc<ContractionHierarchy>>,
-    /// Hub labels extracted from `ch` — the top rung of the in-memory
-    /// ladder. Present exactly when `ch` is.
-    hl: Option<Arc<HubLabels>>,
+    /// Hub labels extracted from `ch` and the object buckets over them —
+    /// the top rung of the in-memory ladder. Present exactly when `ch` is.
+    hl: Option<ObjectLabels>,
     parted: Option<PartitionedEngine>,
     shards: Striped<Shard>,
     /// Backing page files, when the service runs a file-backed store mode.
@@ -417,7 +481,7 @@ impl EpochIndex {
     /// The hub labels extracted from the hierarchy, when
     /// [`ServiceConfig::hierarchy`] is on.
     pub fn hub_labels(&self) -> Option<&HubLabels> {
-        self.hl.as_deref()
+        self.hl.as_ref().map(|labels| &labels.hl)
     }
 
     /// Partitions the sharded backend routes across (1 for a single index).
@@ -586,10 +650,11 @@ pub struct QueryService {
     ch_fallbacks: AtomicU64,
     /// Label lookups performed outside any session — the hub-label backend
     /// and the in-memory fallbacks (labels are memory-resident, so these
-    /// never route through a shard's [`OpStats`]). One per p2p merge, one
-    /// per label folded into or scanned out of a one-to-many bucket scan.
+    /// never route through a shard's [`OpStats`]). One per bucket scan
+    /// (one per kNN query, one per join source object) and one per `p2p`
+    /// merge (one per object per range / aggregate query).
     hl_lookups: AtomicU64,
-    /// Label entries advanced over by those lookups.
+    /// Label and bucket entries those scans and merges walked.
     hl_entries: AtomicU64,
     /// Epochs published by the double-buffered maintenance path.
     epoch_swaps: AtomicU64,
@@ -668,7 +733,7 @@ impl QueryService {
         let ch = ch.map(Arc::new);
         // The labels ride on the hierarchy: one extraction pass here backs
         // the hub-label backend and tops the degraded-fallback ladder.
-        let hl = ch.as_deref().map(|ch| Arc::new(HubLabels::build(ch)));
+        let hl = ch.as_deref().map(|ch| ObjectLabels::build(ch, &objects));
         let epoch0 = Arc::new(EpochIndex {
             epoch,
             net: net_arc,
@@ -820,10 +885,7 @@ impl QueryService {
                 let cursor = &cursor;
                 let ep = &ep;
                 scope.spawn(move || {
-                    // One reusable workspace of each kind per worker:
-                    // allocated once, reset in O(touched) between queries.
-                    let mut ws = SsspWorkspace::new();
-                    let mut chws = ChWorkspace::new();
+                    let mut sc = Scratch::default();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(q) = queries.get(i) else { break };
@@ -837,23 +899,20 @@ impl QueryService {
                         let queued = queries.len() - i - 1;
                         let shed = paged && self.should_shed(q.class(), queued, workers);
                         let (out, degraded) = if shed {
-                            (self.execute_in_memory(ep, q, &mut ws, &mut chws), false)
+                            (self.execute_in_memory(ep, q, &mut sc), false)
                         } else {
                             match backend {
-                                Backend::Signature => {
-                                    self.execute_sharded(ep, q, &mut ws, &mut chws)
-                                }
-                                Backend::Sharded => {
-                                    self.execute_partitioned(ep, q, &mut ws, &mut chws)
-                                }
-                                Backend::Dijkstra => {
-                                    (execute_dijkstra(&ep.net, &ep.objects, &mut ws, q), false)
-                                }
+                                Backend::Signature => self.execute_sharded(ep, q, &mut sc),
+                                Backend::Sharded => self.execute_partitioned(ep, q, &mut sc),
+                                Backend::Dijkstra => (
+                                    execute_dijkstra(&ep.net, &ep.objects, &mut sc.sssp, q),
+                                    false,
+                                ),
                                 Backend::Hierarchy => (
                                     execute_hierarchy(
                                         &ep.objects,
                                         ep.ch.as_ref().expect("checked above"),
-                                        &mut chws,
+                                        &mut sc.ch,
                                         q,
                                     ),
                                     false,
@@ -863,6 +922,7 @@ impl QueryService {
                                         &ep.objects,
                                         ep.hl.as_ref().expect("checked above"),
                                         q,
+                                        &mut sc,
                                     ),
                                     false,
                                 ),
@@ -991,86 +1051,77 @@ impl QueryService {
     /// hierarchy, else network expansion. The shed path and the degraded
     /// ladder both land here — the answer is always exact, only the paged
     /// fast path is skipped.
-    fn execute_in_memory(
-        &self,
-        ep: &EpochIndex,
-        q: &Query,
-        ws: &mut SsspWorkspace,
-        chws: &mut ChWorkspace,
-    ) -> QueryOutput {
-        if let Some(hl) = &ep.hl {
-            return self.execute_hub_label(&ep.objects, hl, q);
+    fn execute_in_memory(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> QueryOutput {
+        if let Some(labels) = &ep.hl {
+            return self.execute_hub_label(&ep.objects, labels, q, sc);
         }
         match &ep.ch {
-            Some(ch) => execute_hierarchy(&ep.objects, ch, chws, q),
-            None => execute_dijkstra(&ep.net, &ep.objects, ws, q),
+            Some(ch) => execute_hierarchy(&ep.objects, ch, &mut sc.ch, q),
+            None => execute_dijkstra(&ep.net, &ep.objects, &mut sc.sssp, q),
         }
     }
 
     /// [`Self::execute_in_memory`] for the degraded ladder: an oracle
     /// answer (labels or hierarchy) also counts toward
     /// [`Self::hierarchy_fallback_count`].
-    fn execute_fallback(
-        &self,
-        ep: &EpochIndex,
-        q: &Query,
-        ws: &mut SsspWorkspace,
-        chws: &mut ChWorkspace,
-    ) -> QueryOutput {
+    fn execute_fallback(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> QueryOutput {
         if ep.hl.is_some() || ep.ch.is_some() {
             self.ch_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-        self.execute_in_memory(ep, q, ws, chws)
+        self.execute_in_memory(ep, q, sc)
     }
 
-    /// Answer one query on the epoch's hub labels. Point-to-point
-    /// distances are single sorted label merges; the self ε-join inverts
-    /// every object's label into hub buckets once and answers each source
-    /// object with one one-to-many scan instead of O(objects) pairwise
-    /// merges.
+    /// Answer one query on the epoch's label oracle. kNN is one bounded
+    /// scan of the object buckets from the query node's label, at the
+    /// bucket-head estimate of the k-th distance; the self ε-join is one
+    /// ε-bounded scan per source object. Range and aggregate still run one
+    /// `p2p` merge per object: they are [`ObjectLabels::join_row`]'s scan
+    /// started from the query node, and take it once `oracle_hl`'s
+    /// throughput can be measured across the resulting 50× step (ROADMAP
+    /// item 3).
     ///
     /// Results are element-wise identical to [`execute_hierarchy`] /
     /// [`execute_dijkstra`]: ranges in id order, kNN keeps the `k`
     /// smallest `(distance, object)` pairs, joins list `a < b` pairs in
     /// order, unreachable objects never qualify. Label work is charged to
     /// the service-level counters (the labels are memory-resident — there
-    /// is no session to charge).
-    fn execute_hub_label(&self, objects: &ObjectSet, hl: &HubLabels, q: &Query) -> QueryOutput {
+    /// is no session to charge): one lookup per bucket scan or `p2p`
+    /// merge, plus the label and bucket entries they walked.
+    fn execute_hub_label(
+        &self,
+        objects: &ObjectSet,
+        labels: &ObjectLabels,
+        q: &Query,
+        sc: &mut Scratch,
+    ) -> QueryOutput {
+        let ObjectLabels { hl, buckets } = labels;
         let mut lookups = 0u64;
         let mut scanned = 0u64;
-        let mut p2p = |s: NodeId, t: NodeId| -> Dist {
-            let (d, entries) = hl.p2p_counted(s, t);
-            lookups += 1;
-            scanned += entries;
-            d
+        // Every object within `eps` of `node`, id-ascending, by one label
+        // merge each.
+        let mut within = |node: NodeId, eps: Dist| -> Vec<(Dist, ObjectId)> {
+            lookups += objects.len() as u64;
+            objects
+                .iter()
+                .filter_map(|(o, host)| {
+                    let (d, entries) = hl.p2p_counted(node, host);
+                    scanned += entries;
+                    (d != INFINITY && d <= eps).then_some((d, o))
+                })
+                .collect()
         };
         let out = match *q {
-            Query::Range { node, eps } => QueryOutput::Range(
-                objects
-                    .iter()
-                    .filter(|&(_, host)| {
-                        let d = p2p(node, host);
-                        d != INFINITY && d <= eps
-                    })
-                    .map(|(o, _)| o)
-                    .collect(),
-            ),
+            Query::Range { node, eps } => {
+                QueryOutput::Range(within(node, eps).into_iter().map(|(_, o)| o).collect())
+            }
             Query::Knn { node, k } => {
-                let k = k.min(objects.len());
-                let mut found: Vec<(Dist, ObjectId)> = objects
-                    .iter()
-                    .filter_map(|(o, host)| {
-                        let d = p2p(node, host);
-                        (d != INFINITY).then_some((d, o))
-                    })
-                    .collect();
-                found.sort_unstable();
-                found.truncate(k);
+                lookups = 1;
+                scanned = hl.knn(node, buckets, k, &mut sc.dense, &mut sc.hits);
                 QueryOutput::Knn(
-                    found
-                        .into_iter()
-                        .map(|(d, o)| KnnResult {
-                            object: o,
+                    sc.hits
+                        .iter()
+                        .map(|&(d, o)| KnnResult {
+                            object: ObjectId(o),
                             dist: Some(d),
                         })
                         .collect(),
@@ -1078,35 +1129,21 @@ impl QueryService {
             }
             Query::Aggregate { node, eps } => {
                 let mut agg = RangeAggregate::default();
-                for (_, host) in objects.iter() {
-                    let d = p2p(node, host);
-                    if d != INFINITY && d <= eps {
-                        agg.count += 1;
-                        agg.sum += d as u64;
-                        agg.min = Some(agg.min.map_or(d, |m| m.min(d)));
-                        agg.max = Some(agg.max.map_or(d, |m| m.max(d)));
-                    }
+                for (d, _) in within(node, eps) {
+                    agg.count += 1;
+                    agg.sum += d as u64;
+                    agg.min = Some(agg.min.map_or(d, |m| m.min(d)));
+                    agg.max = Some(agg.max.map_or(d, |m| m.max(d)));
                 }
                 QueryOutput::Aggregate(agg)
             }
             Query::Join { eps } => {
-                let ids: Vec<ObjectId> = objects.iter().map(|(o, _)| o).collect();
-                let hosts: Vec<NodeId> = objects.iter().map(|(_, h)| h).collect();
-                let buckets = hl.buckets(&hosts);
-                lookups += hosts.len() as u64;
-                scanned += buckets.num_entries() as u64;
-                let mut dists = Vec::new();
+                lookups = objects.len() as u64;
                 let mut pairs = Vec::new();
-                for (i, &host) in hosts.iter().enumerate() {
-                    scanned += hl.one_to_many(host, &buckets, &mut dists);
-                    lookups += 1;
-                    // `objects.iter()` is id-ascending, so j > i ⇔ b > a.
-                    for (j, &d) in dists.iter().enumerate().skip(i + 1) {
-                        if d != INFINITY && d <= eps {
-                            pairs.push((ids[i], ids[j]));
-                        }
-                    }
-                }
+                scanned = objects
+                    .objects()
+                    .map(|a| labels.join_row(objects, a, eps, sc, &mut pairs))
+                    .sum();
                 pairs.sort_unstable();
                 QueryOutput::Join(pairs)
             }
@@ -1124,18 +1161,12 @@ impl QueryService {
     /// query is retried (bounded backoff; failed reads are never cached, so
     /// a retry re-draws the fault stream while keeping the pages it did
     /// read) up to the retry budget; past the budget the query is answered
-    /// exactly off the fast paths — by the contraction hierarchy in `chws`
-    /// when the epoch holds one (memory-resident, so immune to the
-    /// injected storage faults), else by incremental network expansion in
-    /// `ws`. Repeated degradation quarantines the shard: pages and decodes
-    /// are dropped, counters survive.
-    fn execute_sharded(
-        &self,
-        ep: &EpochIndex,
-        q: &Query,
-        ws: &mut SsspWorkspace,
-        chws: &mut ChWorkspace,
-    ) -> (QueryOutput, bool) {
+    /// exactly off the fast paths ([`Self::execute_fallback`]) — by the
+    /// label oracle or hierarchy when the epoch holds one (memory-resident,
+    /// so immune to the injected storage faults), else by incremental
+    /// network expansion. Repeated degradation quarantines the shard:
+    /// pages and decodes are dropped, counters survive.
+    fn execute_sharded(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> (QueryOutput, bool) {
         let mut shard = ep.shards.lock(q.route_key());
         let mut state = shard
             .state
@@ -1169,7 +1200,7 @@ impl QueryService {
                         self.quarantines.fetch_add(1, Ordering::Relaxed);
                     }
                     shard.state = Some(state);
-                    return (self.execute_fallback(ep, q, ws, chws), true);
+                    return (self.execute_fallback(ep, q, sc), true);
                 }
             }
         }
@@ -1192,11 +1223,10 @@ impl QueryService {
         &self,
         ep: &EpochIndex,
         q: &Query,
-        ws: &mut SsspWorkspace,
-        chws: &mut ChWorkspace,
+        sc: &mut Scratch,
     ) -> (QueryOutput, bool) {
         let Some(pe) = &ep.parted else {
-            return self.execute_sharded(ep, q, ws, chws);
+            return self.execute_sharded(ep, q, sc);
         };
         match *q {
             Query::Join { eps } => {
@@ -1208,7 +1238,7 @@ impl QueryService {
                         Ok(rows) => pairs.extend(rows),
                         Err(()) => {
                             any_degraded = true;
-                            self.fallback_join_rows(ep, pe, p, eps, ws, chws, &mut pairs);
+                            self.fallback_join_rows(ep, pe, p, eps, sc, &mut pairs);
                         }
                     }
                 }
@@ -1237,7 +1267,7 @@ impl QueryService {
                     Ok(out) => (out, false),
                     // The whole query re-runs on the exact in-memory
                     // fallback — same ladder top as the single-index path.
-                    Err(()) => (self.execute_fallback(ep, q, ws, chws), true),
+                    Err(()) => (self.execute_fallback(ep, q, sc), true),
                 }
             }
         }
@@ -1292,47 +1322,36 @@ impl QueryService {
 
     /// Exact fallback for one partition's share of a self ε-join: pairs
     /// `(a, b)` with `a` hosted in partition `p`, `a < b`, `d ≤ eps`,
-    /// computed on the full network (hub labels when available — one
-    /// one-to-many bucket scan per source object — else the hierarchy
-    /// oracle, else network expansion) without touching the partition's
-    /// faulty storage.
-    #[allow(clippy::too_many_arguments)]
+    /// computed on the full network (the epoch's label oracle when
+    /// available — the same ε-bounded bucket scan per source object the
+    /// hub-label join runs — else the hierarchy oracle, else network
+    /// expansion) without touching the partition's faulty storage.
     fn fallback_join_rows(
         &self,
         ep: &EpochIndex,
         pe: &PartitionedEngine,
         p: usize,
         eps: Dist,
-        ws: &mut SsspWorkspace,
-        chws: &mut ChWorkspace,
+        sc: &mut Scratch,
         pairs: &mut Vec<(ObjectId, ObjectId)>,
     ) {
-        if let Some(hl) = &ep.hl {
+        let sources = pe.pidx.part(p).real_objects();
+        if let Some(labels) = &ep.hl {
             self.ch_fallbacks.fetch_add(1, Ordering::Relaxed);
-            let ids: Vec<ObjectId> = ep.objects.iter().map(|(o, _)| o).collect();
-            let hosts: Vec<NodeId> = ep.objects.iter().map(|(_, h)| h).collect();
-            let buckets = hl.buckets(&hosts);
-            let mut lookups = hosts.len() as u64;
-            let mut scanned = buckets.num_entries() as u64;
-            let mut dists = Vec::new();
-            for a in pe.pidx.part(p).real_objects() {
-                scanned += hl.one_to_many(ep.objects.node_of(a), &buckets, &mut dists);
+            let (mut lookups, mut scanned) = (0u64, 0u64);
+            for a in sources {
                 lookups += 1;
-                for (j, &d) in dists.iter().enumerate() {
-                    if ids[j] > a && d != INFINITY && d <= eps {
-                        pairs.push((a, ids[j]));
-                    }
-                }
+                scanned += labels.join_row(&ep.objects, a, eps, sc, pairs);
             }
             self.hl_lookups.fetch_add(lookups, Ordering::Relaxed);
             self.hl_entries.fetch_add(scanned, Ordering::Relaxed);
         } else if let Some(ch) = &ep.ch {
             self.ch_fallbacks.fetch_add(1, Ordering::Relaxed);
-            for a in pe.pidx.part(p).real_objects() {
+            for a in sources {
                 let host = ep.objects.node_of(a);
                 for (b, hb) in ep.objects.iter() {
                     if b > a {
-                        let d = ch.p2p(host, hb, chws);
+                        let d = ch.p2p(host, hb, &mut sc.ch);
                         if d != INFINITY && d <= eps {
                             pairs.push((a, b));
                         }
@@ -1340,9 +1359,9 @@ impl QueryService {
                 }
             }
         } else {
-            for a in pe.pidx.part(p).real_objects() {
+            for a in sources {
                 let host = ep.objects.node_of(a);
-                for (b, _) in expand_range(&ep.net, &ep.objects, ws, host, eps) {
+                for (b, _) in expand_range(&ep.net, &ep.objects, &mut sc.sssp, host, eps) {
                     if b > a {
                         pairs.push((a, b));
                     }
@@ -1420,7 +1439,9 @@ impl QueryService {
                     &ChConfig::default(),
                 ))
             });
-            let hl = ch.as_deref().map(|ch| Arc::new(HubLabels::build(ch)));
+            let hl = ch
+                .as_deref()
+                .map(|ch| ObjectLabels::build(ch, &self.objects));
             let parted = (self.partitions > 1).then(|| {
                 PartitionedEngine::build(&shadow.net, &self.objects, &self.sig, self.partitions)
             });
@@ -1863,12 +1884,14 @@ impl QueryService {
             )),
             None => s.push_str(" | hierarchy: off"),
         }
-        if let Some(hl) = &ep.hl {
+        if let Some(ObjectLabels { hl, buckets }) = &ep.hl {
             s.push_str(&format!(
-                " | labels: {} entries (avg {:.1}/node, {} KiB)",
+                " | labels: {} entries (avg {:.1}/node, {} KiB) + object buckets: {} entries ({} KiB)",
                 hl.num_entries(),
                 hl.avg_label_len(),
-                hl.label_bytes() / 1024
+                hl.label_bytes() / 1024,
+                buckets.num_entries(),
+                buckets.bytes() / 1024
             ));
         }
         let hl_lookups = self.hl_lookups.load(Ordering::Relaxed);
@@ -2132,4 +2155,151 @@ fn expand_range(
         }
     }
     found
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{generate, WorkloadConfig, WorkloadMix};
+    use dsi_graph::generate::{random_planar, PlanarConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The pre-bucket hub-label executor, kept as the reference the bucket
+    /// scans must reproduce element-wise: one `p2p` label merge per object
+    /// per point query, one per object pair for the join.
+    fn reference_hub_label(objects: &ObjectSet, hl: &HubLabels, q: &Query) -> QueryOutput {
+        let within = |node: NodeId, eps: Dist| {
+            objects.iter().filter_map(move |(o, host)| {
+                let d = hl.p2p(node, host);
+                (d != INFINITY && d <= eps).then_some((d, o))
+            })
+        };
+        match *q {
+            Query::Range { node, eps } => {
+                QueryOutput::Range(within(node, eps).map(|(_, o)| o).collect())
+            }
+            Query::Knn { node, k } => {
+                let mut found: Vec<(Dist, ObjectId)> = within(node, INFINITY).collect();
+                found.sort_unstable();
+                found.truncate(k);
+                QueryOutput::Knn(
+                    found
+                        .into_iter()
+                        .map(|(d, o)| KnnResult {
+                            object: o,
+                            dist: Some(d),
+                        })
+                        .collect(),
+                )
+            }
+            Query::Aggregate { node, eps } => {
+                let mut agg = RangeAggregate::default();
+                for (d, _) in within(node, eps) {
+                    agg.count += 1;
+                    agg.sum += d as u64;
+                    agg.min = Some(agg.min.map_or(d, |m| m.min(d)));
+                    agg.max = Some(agg.max.map_or(d, |m| m.max(d)));
+                }
+                QueryOutput::Aggregate(agg)
+            }
+            Query::Join { eps } => QueryOutput::Join(
+                objects
+                    .iter()
+                    .flat_map(|(a, host)| {
+                        within(host, eps)
+                            .filter(move |&(_, b)| b > a)
+                            .map(move |(_, b)| (a, b))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    fn small_service(partitions: usize) -> QueryService {
+        let mut rng = StdRng::seed_from_u64(31);
+        let net = random_planar(
+            &PlanarConfig {
+                num_nodes: 400,
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        let objects = ObjectSet::uniform(&net, 0.06, &mut rng);
+        let cfg = ServiceConfig {
+            partitions,
+            ..Default::default()
+        };
+        QueryService::new(net, objects, &SignatureConfig::default(), &cfg)
+    }
+
+    #[test]
+    fn bucket_scans_match_the_per_object_reference() {
+        let svc = small_service(1);
+        let ep = svc.snapshot();
+        let labels = ep.hl.as_ref().expect("hierarchy is on by default");
+        let objects = &ep.objects;
+
+        // Bucket rank == object id: the buckets cover exactly the object
+        // hosts, and each host's own row holds its object at distance 0.
+        assert_eq!(labels.buckets.num_targets(), objects.len());
+        for (o, host) in objects.iter() {
+            assert_eq!(labels.buckets.row(host).first(), Some(&(o.0, 0)));
+        }
+
+        // Radii from "nothing qualifies" to "everything does"; k from 0
+        // past |objects|.
+        let mut batch = generate(
+            &ep.net,
+            &WorkloadConfig {
+                mix: WorkloadMix {
+                    join: 5,
+                    ..Default::default()
+                },
+                eps_range: (0, 60),
+                k_range: (0, objects.len() + 3),
+                join_eps: 12,
+                count: 400,
+                ..Default::default()
+            },
+        );
+        let node = objects.node_of(ObjectId(0));
+        batch.push(Query::Range {
+            node,
+            eps: INFINITY,
+        });
+        batch.push(Query::Join { eps: INFINITY });
+        let mut sc = Scratch::default();
+        for q in &batch {
+            assert_eq!(
+                svc.execute_hub_label(objects, labels, q, &mut sc),
+                reference_hub_label(objects, &labels.hl, q),
+                "{q:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn degraded_partition_join_rows_come_from_the_epoch_buckets() {
+        let svc = small_service(3);
+        let ep = svc.snapshot();
+        let pe = ep.parted.as_ref().expect("three partitions");
+        let eps = 15;
+        let mut sc = Scratch::default();
+        let mut pairs = Vec::new();
+        for p in 0..pe.pidx.num_parts() {
+            svc.fallback_join_rows(&ep, pe, p, eps, &mut sc, &mut pairs);
+        }
+        pairs.sort_unstable();
+        let labels = ep.hl.as_ref().expect("hierarchy is on by default");
+        assert_eq!(
+            QueryOutput::Join(pairs),
+            reference_hub_label(&ep.objects, &labels.hl, &Query::Join { eps })
+        );
+        // One lookup per source object — no per-partition bucket rebuild.
+        assert_eq!(
+            svc.hl_lookups.load(Ordering::Relaxed),
+            ep.objects.len() as u64
+        );
+    }
 }

@@ -64,9 +64,7 @@ pub struct PartStats {
     /// Page accesses charged to this partition's session.
     pub io: IoStats,
     /// Boundary labels read by this partition's glue merges — the
-    /// per-partition share of [`OpStats::label_lookups`]. (The frontier
-    /// Dijkstra this replaced kept its tally in
-    /// [`OpStats::frontier_hops`], which the glue leaves at 0.)
+    /// per-partition share of [`OpStats::label_lookups`].
     pub label_lookups: u64,
 }
 
@@ -103,7 +101,12 @@ pub struct BatchReport {
     /// Page-access delta over the batch, merged across shards. `logical`
     /// is schedule-independent; `faults` depend on interleaving.
     pub io: IoStats,
-    /// Operation-counter delta over the batch, merged across shards.
+    /// Operation-counter delta over the batch, merged across shards. The
+    /// label counters also fold in the sessionless label work of the
+    /// hub-label backend and the in-memory fallbacks: `label_lookups` is
+    /// one per bucket scan (kNN query, join source object) plus one per
+    /// `p2p` merge (per object per range / aggregate query),
+    /// `label_entries_scanned` the label and bucket entries they walked.
     pub ops: OpStats,
     /// Per-partition deltas over the batch, in partition order — queries
     /// routed, page accesses, label-glue lookups. Empty unless the
@@ -194,8 +197,10 @@ impl BatchReport {
         }
         if self.ops.label_lookups > 0 {
             out.push_str(&format!(
-                "  labels: {} lookups, {} entries scanned\n",
-                self.ops.label_lookups, self.ops.label_entries_scanned,
+                "  labels: {} lookups, {} entries walked ({:.1} per lookup)\n",
+                self.ops.label_lookups,
+                self.ops.label_entries_scanned,
+                self.ops.label_entries_scanned as f64 / self.ops.label_lookups as f64,
             ));
         }
         for (p, ps) in self.per_part.iter().enumerate() {

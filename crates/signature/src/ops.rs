@@ -88,19 +88,16 @@ pub struct OpStats {
     /// Queries answered by the exact fallback backend after exhausting
     /// their retry budget (results stay exact; the fast path was skipped).
     pub degraded: u64,
-    /// Boundary nodes settled by the cross-partition frontier expansion of
-    /// a sharded query (`dsi-partition` router): each hop is one remote
-    /// boundary node whose distance label was resolved through the overlay.
-    /// With hub-label glue the frontier Dijkstra never runs, so this stays 0
-    /// and the two label counters below carry the glue cost instead.
-    pub frontier_hops: u64,
-    /// Hub-label merges performed: one per point-to-point label lookup and
-    /// one per label folded into or read out of a one-to-many bucket scan
-    /// (`dsi-hierarchy` labels; the router's boundary glue and the service's
-    /// hub-label backend both count here).
+    /// Hub-label lookups (`dsi-hierarchy` labels). The router's boundary
+    /// glue counts one per label folded into or read out of its hub map;
+    /// the service's hub-label backend counts one per source label scanned
+    /// against the epoch's object buckets (one per kNN query, one per join
+    /// source object) and one per point-to-point merge (one per object per
+    /// range / aggregate query).
     pub label_lookups: u64,
-    /// Individual `(hub, dist)` entries advanced over by those merges — the
-    /// label-side analogue of `frontier_hops` work.
+    /// Individual `(hub, dist)` entries advanced over by those lookups: for
+    /// a bucket scan, the source label's entries plus the bucket entries
+    /// the bound let it walk.
     pub label_entries_scanned: u64,
     /// Index epochs published by double-buffered maintenance (`dsi-service`
     /// engine): each swap atomically replaced the live index snapshot while
@@ -132,7 +129,6 @@ impl std::ops::Add for OpStats {
             votes: self.votes + rhs.votes,
             retries: self.retries + rhs.retries,
             degraded: self.degraded + rhs.degraded,
-            frontier_hops: self.frontier_hops + rhs.frontier_hops,
             label_lookups: self.label_lookups + rhs.label_lookups,
             label_entries_scanned: self.label_entries_scanned + rhs.label_entries_scanned,
             epoch_swaps: self.epoch_swaps + rhs.epoch_swaps,
@@ -164,7 +160,6 @@ impl std::ops::Sub for OpStats {
             votes: self.votes - rhs.votes,
             retries: self.retries - rhs.retries,
             degraded: self.degraded - rhs.degraded,
-            frontier_hops: self.frontier_hops - rhs.frontier_hops,
             label_lookups: self.label_lookups - rhs.label_lookups,
             label_entries_scanned: self.label_entries_scanned - rhs.label_entries_scanned,
             epoch_swaps: self.epoch_swaps - rhs.epoch_swaps,
@@ -210,9 +205,6 @@ impl std::fmt::Display for OpStats {
                 self.entry_cache_hits,
                 self.entry_cache_hits + self.entry_cache_misses
             )?;
-        }
-        if self.frontier_hops > 0 {
-            write!(f, ", {} frontier hops", self.frontier_hops)?;
         }
         if self.label_lookups > 0 {
             write!(

@@ -21,6 +21,20 @@ cargo test --workspace -q
 echo "== cargo bench --no-run (benches must keep compiling) =="
 cargo bench --workspace --no-run
 
+echo "== perfbench --smoke (every workload differentially checked end to end) =="
+# The benchmark's own smoke cell: all four workloads, traced and untraced,
+# on a 2,000-node network through the real QueryService, with every
+# verification on — each backend (the hub-label bucket scans included)
+# against Backend::Dijkstra on the same epoch and against the harness's
+# brute force. A non-zero exit or any result line without "correct":true
+# fails the gate.
+smoke_out="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --smoke)"
+if grep -q '"correct":false' <<<"$smoke_out" || ! grep -q '"correct":true' <<<"$smoke_out"; then
+    echo "perfbench --smoke reported an incorrect run:"
+    grep '"correct"' <<<"$smoke_out" | cut -c1-200
+    exit 1
+fi
+
 echo "== fault matrix (service equivalence under injected storage faults) =="
 # Re-run the dsi-service fault suite under a matrix of fixed fault seeds
 # crossed with both signature read paths (entry-granular decode on and
