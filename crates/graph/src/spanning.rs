@@ -12,6 +12,12 @@
 //!   actually use the edge, recompute the subtree hanging below it, and
 //!   propagate.
 //!
+//! Either way a repair costs what it damages: it touches the nodes whose
+//! label it must recompute and their neighbours, through scratch state the
+//! forest owns and reuses (`RepairScratch`), with no pass over the node
+//! range and no per-tree allocation. [`TreeDelta`] reports that work
+//! (`nodes_reset`, `nodes_visited`) next to the changes themselves.
+//!
 //! Edge insertion/removal is expressed as weight changes to/from
 //! [`INFINITY`], which keeps adjacency slots (and hence backtracking links)
 //! stable. The paper additionally keeps a reverse index from edges to the
@@ -22,8 +28,7 @@
 //! scan and the index is validated against it.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::dataset::ObjectSet;
 use crate::dijkstra::{sssp, sssp_into, SsspTree};
@@ -35,17 +40,26 @@ use crate::workspace::SsspWorkspace;
 #[derive(Clone, Debug)]
 pub struct SpanningForest {
     trees: Vec<SsspTree>,
+    scratch: RepairScratch,
 }
 
-/// Nodes whose distance, parent, or parent slot changed in one tree.
+/// Nodes whose distance, parent, or parent slot changed in one tree, and
+/// the work it took to find them.
 #[derive(Clone, Debug)]
 pub struct TreeDelta {
     pub object: ObjectId,
     /// `(node, old distance, new distance)`; parents may change even when
     /// the two distances are equal only on rebuild-free improvements, which
     /// we do not generate — every entry here has `old != new` or a parent
-    /// change.
+    /// change. Each node appears once, in repair order (deterministic).
     pub changed: Vec<(NodeId, Dist, Dist)>,
+    /// Nodes whose label the repair had to recompute: the subtree below the
+    /// edge on an increase, the nodes that improved on a decrease.
+    pub nodes_reset: usize,
+    /// Nodes the repair looked at: the reset nodes plus every neighbour
+    /// examined while collecting, seeding and relaxing them. Bounded by
+    /// `nodes_reset` and the degree, never by the network size.
+    pub nodes_visited: usize,
 }
 
 /// Per-object deltas produced by a single edge update.
@@ -58,6 +72,90 @@ impl ForestDelta {
     /// Total number of `(object, node)` entries touched.
     pub fn touched_entries(&self) -> usize {
         self.per_object.iter().map(|d| d.changed.len()).sum()
+    }
+
+    /// [`TreeDelta::nodes_reset`] summed over the affected trees.
+    pub fn nodes_reset(&self) -> usize {
+        self.per_object.iter().map(|d| d.nodes_reset).sum()
+    }
+
+    /// [`TreeDelta::nodes_visited`] summed over the affected trees.
+    pub fn nodes_visited(&self) -> usize {
+        self.per_object.iter().map(|d| d.nodes_visited).sum()
+    }
+}
+
+impl TreeDelta {
+    fn new(object: ObjectId) -> Self {
+        TreeDelta {
+            object,
+            changed: Vec::new(),
+            nodes_reset: 0,
+            nodes_visited: 0,
+        }
+    }
+}
+
+/// Repair state reused across trees and edges, so one repair allocates
+/// nothing and never sweeps the node range.
+#[derive(Clone, Debug)]
+struct RepairScratch {
+    /// One stamped word per node: `mark[v] >= base` means `v` holds slot
+    /// `mark[v] - base` of the running repair's list (subtree members on an
+    /// increase, `changed` on a decrease). Starting a repair moves `base`
+    /// past every slot handed out so far, which unmarks all nodes at once.
+    mark: Vec<u32>,
+    base: u32,
+    claimed: u32,
+    /// Subtree members with their pre-repair `(dist, parent)`.
+    members: Vec<(NodeId, Dist, NodeId)>,
+    heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
+}
+
+impl RepairScratch {
+    fn new(num_nodes: usize) -> Self {
+        RepairScratch {
+            mark: vec![0; num_nodes],
+            base: 1,
+            claimed: 0,
+            members: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Start a repair: no node holds a slot.
+    fn begin(&mut self) {
+        self.base += self.claimed;
+        self.claimed = 0;
+        // A repair claims at most one slot per node; re-zero the stamps
+        // before `base + slot` could wrap.
+        if self.base > u32::MAX - self.mark.len() as u32 {
+            self.mark.fill(0);
+            self.base = 1;
+        }
+        self.members.clear();
+    }
+
+    #[inline]
+    fn slot(&self, v: NodeId) -> Option<usize> {
+        self.mark[v.index()]
+            .checked_sub(self.base)
+            .map(|s| s as usize)
+    }
+
+    /// Hand `v` the next slot (callers push to their list in step).
+    #[inline]
+    fn claim(&mut self, v: NodeId) {
+        self.mark[v.index()] = self.base + self.claimed;
+        self.claimed += 1;
+    }
+
+    /// Make `v` a subtree member: save its label, then clear it.
+    fn detach(&mut self, tree: &mut SsspTree, v: NodeId) {
+        self.claim(v);
+        let old_d = std::mem::replace(&mut tree.dist[v.index()], INFINITY);
+        let old_p = std::mem::replace(&mut tree.parent[v.index()], NO_NODE);
+        self.members.push((v, old_d, old_p));
     }
 }
 
@@ -78,7 +176,10 @@ impl SpanningForest {
                 tree
             })
             .collect();
-        SpanningForest { trees }
+        SpanningForest {
+            trees,
+            scratch: RepairScratch::new(net.num_nodes()),
+        }
     }
 
     /// Number of trees (= number of objects).
@@ -138,15 +239,14 @@ impl SpanningForest {
         net.set_edge_weight(a, b, new_w);
 
         let mut out = ForestDelta::default();
+        let SpanningForest { trees, scratch } = self;
         if new_w < old_w {
             // §5.4.1 — every tree may improve through the cheaper edge.
-            for (i, tree) in self.trees.iter_mut().enumerate() {
-                let mut delta = TreeDelta {
-                    object: ObjectId(i as u32),
-                    changed: Vec::new(),
-                };
-                decrease_propagate(net, tree, a, b, new_w, &mut delta.changed);
-                decrease_propagate(net, tree, b, a, new_w, &mut delta.changed);
+            for (i, tree) in trees.iter_mut().enumerate() {
+                let mut delta = TreeDelta::new(ObjectId(i as u32));
+                scratch.begin();
+                decrease_propagate(net, tree, a, b, new_w, scratch, &mut delta);
+                decrease_propagate(net, tree, b, a, new_w, scratch, &mut delta);
                 if !delta.changed.is_empty() {
                     out.per_object.push(delta);
                 }
@@ -155,14 +255,12 @@ impl SpanningForest {
             // §5.4.2 — only trees whose shortest paths ran through the edge
             // are affected.
             for o in users {
-                let tree = &mut self.trees[o.index()];
+                let tree = &mut trees[o.index()];
                 // Child endpoint: the one whose parent is across the edge.
                 let child = if tree.parent[b.index()] == a { b } else { a };
-                let mut delta = TreeDelta {
-                    object: o,
-                    changed: Vec::new(),
-                };
-                repair_subtree(net, tree, child, &mut delta.changed);
+                let mut delta = TreeDelta::new(o);
+                scratch.begin();
+                repair_subtree(net, tree, child, scratch, &mut delta);
                 if !delta.changed.is_empty() {
                     out.per_object.push(delta);
                 }
@@ -239,108 +337,104 @@ pub fn canonicalize_parents(net: &RoadNetwork, tree: &mut SsspTree) {
 }
 
 /// §5.4.1: if `dist[from] + w < dist[to]`, adopt the edge and propagate the
-/// improvement with a label-correcting Dijkstra pass.
+/// improvement with a label-correcting Dijkstra pass. Work is proportional
+/// to the nodes that improve and their degrees.
 fn decrease_propagate(
     net: &RoadNetwork,
     tree: &mut SsspTree,
     from: NodeId,
     to: NodeId,
     w: Dist,
-    changed: &mut Vec<(NodeId, Dist, Dist)>,
+    scratch: &mut RepairScratch,
+    delta: &mut TreeDelta,
 ) {
     let seed = dist_add(tree.dist[from.index()], w);
     if seed >= tree.dist[to.index()] {
         return;
     }
-    record(changed, to, tree.dist[to.index()], seed);
+    record(scratch, delta, to, tree.dist[to.index()], seed);
     tree.dist[to.index()] = seed;
     tree.parent[to.index()] = from;
     tree.parent_slot[to.index()] = net
         .slot_of(to, from)
         .expect("decrease_propagate: endpoints not adjacent");
-    let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
-    heap.push(Reverse((seed, to)));
-    while let Some(Reverse((d, u))) = heap.pop() {
+    scratch.heap.push(Reverse((seed, to)));
+    while let Some(Reverse((d, u))) = scratch.heap.pop() {
         if d > tree.dist[u.index()] {
             continue; // stale
         }
         for (slot, v, ew) in net.neighbors(u) {
+            delta.nodes_visited += 1;
             if ew == INFINITY {
                 continue;
             }
             let nd = dist_add(d, ew);
             if nd < tree.dist[v.index()] {
-                record(changed, v, tree.dist[v.index()], nd);
+                record(scratch, delta, v, tree.dist[v.index()], nd);
                 tree.dist[v.index()] = nd;
                 tree.parent[v.index()] = u;
                 tree.parent_slot[v.index()] = net.reverse_slot(u, slot);
-                heap.push(Reverse((nd, v)));
+                scratch.heap.push(Reverse((nd, v)));
             }
         }
     }
 }
 
+/// Note that `v` improved from `old` to `new`. A node can improve
+/// repeatedly during propagation: its slot in `changed` (kept in the
+/// stamped scratch) keeps the *original* old distance and takes the latest
+/// new one.
+fn record(scratch: &mut RepairScratch, delta: &mut TreeDelta, v: NodeId, old: Dist, new: Dist) {
+    match scratch.slot(v) {
+        Some(i) => delta.changed[i].2 = new,
+        None => {
+            scratch.claim(v);
+            delta.changed.push((v, old, new));
+            delta.nodes_reset += 1;
+            delta.nodes_visited += 1;
+        }
+    }
+}
+
 /// §5.4.2: the subtree below `child` lost its supporting edge; recompute its
-/// distances from the boundary with the rest of the tree.
+/// distances from the boundary with the rest of the tree. The subtree is
+/// collected by walking tree children (neighbours whose parent is the node
+/// just visited) and everything after touches only its members and their
+/// neighbours, so a repair costs `O(|subtree| · degree · log)` however
+/// large the network is. Nodes already unreachable have no parent, are
+/// never collected, and stay outside: an increase cannot reconnect them.
 fn repair_subtree(
     net: &RoadNetwork,
     tree: &mut SsspTree,
     child: NodeId,
-    changed: &mut Vec<(NodeId, Dist, Dist)>,
+    scratch: &mut RepairScratch,
+    delta: &mut TreeDelta,
 ) {
-    let n = net.num_nodes();
-    // Mark the subtree by climbing parent pointers with memoization:
-    // 0 = unknown, 1 = inside, 2 = outside.
-    let mut mark = vec![0u8; n];
-    mark[child.index()] = 1;
-    let mut stack = Vec::new();
-    for v0 in 0..n as u32 {
-        let mut v = NodeId(v0);
-        if mark[v.index()] != 0 || tree.dist[v.index()] == INFINITY {
-            if tree.dist[v.index()] == INFINITY && mark[v.index()] == 0 {
-                // Already unreachable: it may become reachable only through
-                // a *decrease*, not an increase, so it stays outside.
-                mark[v.index()] = 2;
+    // Collect the subtree breadth-first: the member list is its own queue.
+    scratch.detach(tree, child);
+    let mut next = 0;
+    while let Some(&(u, _, _)) = scratch.members.get(next) {
+        next += 1;
+        for (_, v, _) in net.neighbors(u) {
+            delta.nodes_visited += 1;
+            // A detached node has no parent, so none is claimed twice.
+            if tree.parent[v.index()] == u {
+                scratch.detach(tree, v);
             }
-            continue;
-        }
-        stack.clear();
-        let verdict = loop {
-            stack.push(v);
-            let p = tree.parent[v.index()];
-            if p == NO_NODE {
-                break 2; // reached the root without passing `child`
-            }
-            match mark[p.index()] {
-                0 => v = p,
-                m => break m,
-            }
-        };
-        for &s in &stack {
-            mark[s.index()] = verdict;
         }
     }
-
-    // Save old labels, then reset the subtree.
-    let mut old: HashMap<NodeId, (Dist, NodeId)> = HashMap::new();
-    for v0 in 0..n as u32 {
-        let v = NodeId(v0);
-        if mark[v.index()] == 1 {
-            old.insert(v, (tree.dist[v.index()], tree.parent[v.index()]));
-            tree.dist[v.index()] = INFINITY;
-            tree.parent[v.index()] = NO_NODE;
-        }
-    }
+    delta.nodes_reset = scratch.members.len();
+    delta.nodes_visited += scratch.members.len();
 
     // Seed a repair Dijkstra from the boundary: any outside neighbour offers
     // `dist[outside] + w`. (The updated edge itself participates here with
     // its new weight, covering the "consider all of b's adjacent nodes
     // including a" step of the paper.)
-    let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
-    for (&v, _) in old.iter() {
+    for &(v, _, _) in &scratch.members {
         let mut best: Option<(Dist, NodeId, u8)> = None;
         for (slot, u, w) in net.neighbors(v) {
-            if w == INFINITY || mark[u.index()] == 1 {
+            delta.nodes_visited += 1;
+            if w == INFINITY || scratch.slot(u).is_some() {
                 continue;
             }
             let cand = dist_add(tree.dist[u.index()], w);
@@ -351,21 +445,20 @@ fn repair_subtree(
             }
         }
         if let Some((d, u, s)) = best {
-            if d < tree.dist[v.index()] {
-                tree.dist[v.index()] = d;
-                tree.parent[v.index()] = u;
-                tree.parent_slot[v.index()] = s;
-                heap.push(Reverse((d, v)));
-            }
+            tree.dist[v.index()] = d;
+            tree.parent[v.index()] = u;
+            tree.parent_slot[v.index()] = s;
+            scratch.heap.push(Reverse((d, v)));
         }
     }
     // Interior relaxation within the subtree.
-    while let Some(Reverse((d, u))) = heap.pop() {
+    while let Some(Reverse((d, u))) = scratch.heap.pop() {
         if d > tree.dist[u.index()] {
             continue;
         }
         for (slot, v, w) in net.neighbors(u) {
-            if w == INFINITY || mark[v.index()] != 1 {
+            delta.nodes_visited += 1;
+            if w == INFINITY || scratch.slot(v).is_none() {
                 continue;
             }
             let nd = dist_add(d, w);
@@ -373,26 +466,16 @@ fn repair_subtree(
                 tree.dist[v.index()] = nd;
                 tree.parent[v.index()] = u;
                 tree.parent_slot[v.index()] = net.reverse_slot(u, slot);
-                heap.push(Reverse((nd, v)));
+                scratch.heap.push(Reverse((nd, v)));
             }
         }
     }
 
-    for (v, (old_d, old_p)) in old {
+    for &(v, old_d, old_p) in &scratch.members {
         let nd = tree.dist[v.index()];
         if nd != old_d || tree.parent[v.index()] != old_p {
-            record(changed, v, old_d, nd);
+            delta.changed.push((v, old_d, nd));
         }
-    }
-}
-
-fn record(changed: &mut Vec<(NodeId, Dist, Dist)>, v: NodeId, old: Dist, new: Dist) {
-    // A node can improve repeatedly during propagation; keep its *original*
-    // old distance and overwrite the new one.
-    if let Some(e) = changed.iter_mut().find(|e| e.0 == v) {
-        e.2 = new;
-    } else {
-        changed.push((v, old, new));
     }
 }
 
@@ -622,6 +705,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn repair_work_is_bounded_by_damage_not_network_size() {
+        // Every update kind — increase, decrease, removal, re-insertion —
+        // looks at no more than the nodes it resets and their neighbours
+        // (collecting, seeding and relaxing each scan a member's adjacency
+        // once), so work never scales with the node count.
+        let (mut net, objs, mut forest) = setup(9);
+        let max_degree = net.nodes().map(|u| net.neighbors(u).count()).max().unwrap();
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut removed = Vec::new();
+        let mut kinds = [0usize; 4];
+        for round in 0..80 {
+            let u = NodeId(rng.gen_range(0..net.num_nodes() as u32));
+            let live: Vec<_> = net.neighbors(u).filter(|e| e.2 != INFINITY).collect();
+            let (a, b, w) = match round % 4 {
+                3 if !removed.is_empty() => removed.pop().unwrap(),
+                _ if live.is_empty() => continue,
+                kind => {
+                    let (_, v, w) = live[rng.gen_range(0..live.len())];
+                    match kind {
+                        0 => (u, v, w + 9),
+                        1 => (u, v, w.max(2) - 1),
+                        _ => {
+                            removed.push((u, v, w));
+                            (u, v, INFINITY)
+                        }
+                    }
+                }
+            };
+            let delta = forest.update_edge(&mut net, a, b, w);
+            for td in &delta.per_object {
+                assert!(td.changed.len() <= td.nodes_reset);
+                assert!(td.nodes_reset <= td.nodes_visited);
+            }
+            assert!(
+                delta.nodes_visited() <= 4 * delta.nodes_reset() * (max_degree + 1),
+                "round {round}: visited {} for {} reset",
+                delta.nodes_visited(),
+                delta.nodes_reset()
+            );
+            kinds[round % 4] += usize::from(delta.nodes_reset() > 0);
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "a kind did no work: {kinds:?}"
+        );
+        forest.validate(&net, &objs).unwrap();
+    }
+
+    #[test]
+    fn stamp_rollover_keeps_repairs_exact() {
+        // Park the stamp counter just below the point where it re-zeroes:
+        // the repairs that straddle the rollover must behave like any other.
+        let (mut net, objs, mut forest) = setup(10);
+        forest.scratch.base = u32::MAX - net.num_nodes() as u32 - 2;
+        let mut rng = StdRng::seed_from_u64(11);
+        for round in 0..12 {
+            let u = NodeId(rng.gen_range(0..net.num_nodes() as u32));
+            let (_, v, w) = net.neighbors(u).next().unwrap();
+            let new_w = if round % 2 == 0 { w + 6 } else { w.max(2) - 1 };
+            forest.update_edge(&mut net, u, v, new_w);
+            forest.validate(&net, &objs).unwrap();
+        }
+        assert!(
+            forest.scratch.base < u32::MAX / 2,
+            "counter never rolled over"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Canonical hub labels extracted from the contraction hierarchy.
+//! Canonical hub labels built from the contraction hierarchy.
 //!
 //! A hub label for node `v` is a sorted array of `(hub, distance)` pairs
 //! such that for any pair `(s, t)` some shortest `s–t` path has its
@@ -8,25 +8,25 @@
 //! network the forward and backward upward graphs coincide, so one label
 //! per node serves both query directions.
 //!
-//! Extraction reuses the hierarchy: the upward search space of `v`
-//! (settled by the exact same relaxation loop as one side of
-//! [`ContractionHierarchy::p2p`], run to exhaustion) is a superset of the
-//! canonical label, with upward distances as upper bounds. Candidates are
-//! then pruned with the standard check: processing nodes in descending
-//! rank and each node's candidates in descending hub rank, candidate
-//! `(h, d)` is dropped when the already-kept entries of `v` merged with
-//! the finished label of `h` realise a distance `≤ d` — either `d`
-//! overshoots the true distance (the upward path through `h` is not
-//! shortest) or a higher-ranked hub already covers the pair. What
-//! survives is the canonical label: every entry is exact and no entry is
-//! dominated by another hub.
-//!
-//! Because a node's pruning only consults labels of strictly
-//! higher-ranked nodes, whole *height levels* of the hierarchy (nodes
-//! whose upward search spaces cannot contain one another) are independent
-//! and are built in parallel under `std::thread::scope`, like the
-//! partition builds — one `SsspWorkspace` per worker, results collected
-//! over a channel.
+//! Construction is top-down over the hierarchy (the hierarchical hub
+//! labelling of Abraham et al.): walking nodes in descending rank, the
+//! candidate label of `v` is `(v, 0)` plus, for every upward arc
+//! `(v → u, w)`, the finished label of `u` shifted by `w`, min-folded per
+//! hub through a dense scratch array. Nothing canonical is missed — take
+//! the first hop `u` of a tight upward path from `v` to a canonical hub
+//! `h`: every shortest `u–h` path extends to a shortest `v–h` path, so `h`
+//! tops those too and already sits in `L(u)` with its exact distance — and
+//! anything else a neighbour's label or a non-tight shortcut (a truncated
+//! witness search) contributes is an over-estimate or a dominated hub.
+//! Those go in the pruning pass: candidates in descending hub rank,
+//! `(h, d)` dropped when some already-kept hub `x` of `v` has
+//! `d_v(x) + d_h(x) ≤ d` — one scan of `L(h)` against a dense array of
+//! `v`'s kept distances. What survives is the canonical label (every entry
+//! exact, none dominated by a higher hub), the same labelling
+//! [`HubLabels::build_pruned`] produces for the reversed contraction
+//! order, at a cost of `Σ_v |candidates(v)| · |label|` array reads. The
+//! build is serial: at 16k nodes it takes ~0.1 s, under half the cost of
+//! the hierarchy it reads.
 //!
 //! Storage is a flat CSR: `index[v]..index[v+1]` brackets `v`'s entries in
 //! `hubs`/`dists`, hubs sorted ascending by node id so lookups are sorted
@@ -38,10 +38,9 @@
 //! bound turns each row walk into a prefix walk.
 
 use std::cmp::Reverse;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dsi_graph::ids::dist_add;
-use dsi_graph::{Dist, NodeId, SsspWorkspace, INFINITY};
+use dsi_graph::{Dist, NodeId, INFINITY};
 
 use crate::build::ContractionHierarchy;
 
@@ -59,87 +58,72 @@ pub struct HubLabels {
 }
 
 impl HubLabels {
-    /// Extract canonical labels from `ch`, parallelising across hierarchy
-    /// height levels. Deterministic: the same hierarchy always yields the
-    /// same labels, regardless of worker count.
+    /// Canonical labels of `ch`, built top-down (see the module docs).
+    /// Deterministic: the same hierarchy always yields the same labels.
     pub fn build(ch: &ContractionHierarchy) -> HubLabels {
         let n = ch.num_nodes();
+        // Finished labels back to back in build order, each in the order
+        // its entries were kept (descending hub rank — the hubs most likely
+        // to cover a candidate come first, so the coverage scan exits
+        // early); `span[v]` brackets `v`'s entries.
+        let mut arena: Vec<(NodeId, Dist)> = Vec::new();
+        let mut span = vec![(0usize, 0usize); n];
+        // Dense per-hub scratch, all-INFINITY between nodes.
+        let mut cand_dist = vec![INFINITY; n];
+        let mut kept_dist = vec![INFINITY; n];
+        let mut cands: Vec<NodeId> = Vec::new();
 
-        // Height of a node = longest upward-arc path above it. Everything
-        // a node's upward search can settle (hence everything its pruning
-        // consults) has strictly smaller height, so equal-height nodes are
-        // independent. Walk descending rank: all up-arc heads are already
-        // assigned.
-        let mut height = vec![0u32; n];
-        let mut max_height = 0u32;
         for &v in ch.order().iter().rev() {
-            let h = ch
-                .up_arcs_of(v)
-                .iter()
-                .map(|a| height[a.to.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            height[v.index()] = h;
-            max_height = max_height.max(h);
-        }
-        let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); max_height as usize + 1];
-        for v in 0..n {
-            levels[height[v] as usize].push(NodeId(v as u32));
-        }
-
-        let num_workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(8);
-        let mut labels: Vec<Vec<(NodeId, Dist)>> = vec![Vec::new(); n];
-        let mut ws = SsspWorkspace::new();
-        for level in &levels {
-            // Small levels (the hierarchy top is a handful of nodes) are
-            // cheaper serially than a scope spawn.
-            if num_workers <= 1 || level.len() < 32 {
-                for &v in level {
-                    let lab = extract_label(ch, v, &labels, &mut ws);
-                    labels[v.index()] = lab;
+            for a in ch.up_arcs_of(v) {
+                let (lo, hi) = span[a.to.index()];
+                for &(h, d) in &arena[lo..hi] {
+                    let slot = &mut cand_dist[h.index()];
+                    if *slot == INFINITY {
+                        cands.push(h);
+                    }
+                    *slot = (*slot).min(dist_add(a.weight, d));
                 }
-                continue;
             }
-            let next = AtomicUsize::new(0);
-            let mut built: Vec<(NodeId, Vec<(NodeId, Dist)>)> = std::thread::scope(|s| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                for _ in 0..num_workers {
-                    let tx = tx.clone();
-                    let (next, labels, level) = (&next, &labels, &level[..]);
-                    s.spawn(move || {
-                        let mut ws = SsspWorkspace::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&v) = level.get(i) else { break };
-                            let lab = extract_label(ch, v, labels, &mut ws);
-                            tx.send((v, lab)).expect("collector alive");
-                        }
-                    });
+            // Descending hub rank: when candidate `h` is tested, every hub
+            // that could cover it is already kept.
+            cands.sort_unstable_by_key(|&h| Reverse(ch.rank_of(h)));
+            let start = arena.len();
+            for h in cands.drain(..) {
+                let d = std::mem::replace(&mut cand_dist[h.index()], INFINITY);
+                let (lo, hi) = span[h.index()];
+                let covered = arena[lo..hi]
+                    .iter()
+                    .any(|&(x, dx)| dist_add(kept_dist[x.index()], dx) <= d);
+                if !covered {
+                    kept_dist[h.index()] = d;
+                    arena.push((h, d));
                 }
-                drop(tx);
-                rx.into_iter().collect()
-            });
-            for (v, lab) in built.drain(..) {
-                labels[v.index()] = lab;
             }
+            arena.push((v, 0));
+            for &(h, _) in &arena[start..] {
+                kept_dist[h.index()] = INFINITY;
+            }
+            span[v.index()] = (start, arena.len());
         }
+        for &(lo, hi) in &span {
+            arena[lo..hi].sort_unstable_by_key(|&(h, _)| h);
+        }
+        HubLabels::from_sorted(ch.seed(), span.iter().map(|&(lo, hi)| &arena[lo..hi]))
+    }
 
-        let mut index = Vec::with_capacity(n + 1);
-        index.push(0u32);
-        let mut hubs = Vec::new();
-        let mut dists = Vec::new();
-        for lab in &labels {
-            for &(h, d) in lab {
-                hubs.push(h);
-                dists.push(d);
-            }
+    /// Lay per-node labels (node-id order, each ascending by hub id) out as
+    /// the CSR.
+    fn from_sorted<'a>(seed: u64, labels: impl Iterator<Item = &'a [(NodeId, Dist)]>) -> HubLabels {
+        let mut index = vec![0u32];
+        let (mut hubs, mut dists) = (Vec::new(), Vec::new());
+        for lab in labels {
+            hubs.extend(lab.iter().map(|&(h, _)| h));
+            dists.extend(lab.iter().map(|&(_, d)| d));
             index.push(hubs.len() as u32);
         }
         HubLabels {
-            n,
-            seed: ch.seed(),
+            n: index.len() - 1,
+            seed,
             index,
             hubs,
             dists,
@@ -209,25 +193,10 @@ impl HubLabels {
             heap.clear();
         }
 
-        let mut index = Vec::with_capacity(n + 1);
-        index.push(0u32);
-        let mut hubs = Vec::new();
-        let mut dists = Vec::new();
         for lab in &mut labels {
             lab.sort_unstable_by_key(|&(h, _)| h);
-            for &(h, d) in lab.iter() {
-                hubs.push(h);
-                dists.push(d);
-            }
-            index.push(hubs.len() as u32);
         }
-        HubLabels {
-            n,
-            seed: 0,
-            index,
-            hubs,
-            dists,
-        }
+        HubLabels::from_sorted(0, labels.iter().map(Vec::as_slice))
     }
 
     #[inline]
@@ -497,58 +466,6 @@ impl LabelBuckets {
     pub fn row(&self, h: NodeId) -> &[(u32, Dist)] {
         &self.entries[self.index[h.index()] as usize..self.index[h.index() + 1] as usize]
     }
-}
-
-/// Settle `v`'s full upward search space and prune it to the canonical
-/// label. `labels` must hold finished labels for every strictly
-/// higher-ranked node (guaranteed by level order); the result is sorted
-/// ascending by hub id.
-fn extract_label(
-    ch: &ContractionHierarchy,
-    v: NodeId,
-    labels: &[Vec<(NodeId, Dist)>],
-    ws: &mut SsspWorkspace,
-) -> Vec<(NodeId, Dist)> {
-    ws.begin_external(ch.num_nodes(), ch.up_step_bound());
-    ws.improve(v, 0);
-    let mut cand: Vec<(NodeId, Dist)> = Vec::new();
-    while let Some((x, d)) = ws.pop_settled() {
-        cand.push((x, d));
-        for a in ch.up_arcs_of(x) {
-            ws.improve(a.to, d + a.weight);
-        }
-    }
-    // Descending hub rank: when candidate `h` is tested, every hub that
-    // could cover it is already in `kept`.
-    cand.sort_unstable_by_key(|&(h, _)| Reverse(ch.rank_of(h)));
-
-    let mut kept: Vec<(NodeId, Dist)> = Vec::with_capacity(cand.len());
-    for &(h, d) in &cand {
-        if h != v && merge_min(&kept, &labels[h.index()]) <= d {
-            continue;
-        }
-        let at = kept.partition_point(|&(x, _)| x < h);
-        kept.insert(at, (h, d));
-    }
-    kept
-}
-
-/// Min of `a(x) + b(x)` over hubs `x` the two sorted labels share.
-fn merge_min(a: &[(NodeId, Dist)], b: &[(NodeId, Dist)]) -> Dist {
-    let mut best = INFINITY;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                best = best.min(dist_add(a[i].1, b[j].1));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    best
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@
 //!   upward search, then a single linear sweep down the ranks with no
 //!   priority queue. This is the construction accelerator: per-object
 //!   distance vectors for index builds without per-object full Dijkstra.
-//! * **Hub labels** ([`labels`]): canonical 2-hop labels extracted from the
-//!   hierarchy's upward search spaces — point-to-point becomes one sorted
+//! * **Hub labels** ([`labels`]): canonical 2-hop labels built top-down
+//!   over the hierarchy's upward arcs — point-to-point becomes one sorted
 //!   merge of two small arrays ([`HubLabels::p2p`]); one-to-many becomes
 //!   one pass over the source label against a target set's distance-sorted
 //!   hub buckets ([`LabelBuckets`]), bounded so it reads only row prefixes

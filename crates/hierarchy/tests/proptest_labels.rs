@@ -7,7 +7,9 @@
 //! through another shared hub). The bucket primitives are pinned to the
 //! same merges: a bounded scan is exactly `{t : p2p(s, t) ≤ bound}`, the
 //! bucket kNN exactly sort-everything-then-truncate, ties at the cut
-//! included.
+//! included. The top-down builder itself is pinned to an independent
+//! construction: pruned-landmark labelling over the plain adjacency, hubs
+//! in reverse contraction order, must yield the very same arrays.
 
 use dsi_graph::ids::dist_add;
 use dsi_graph::{sssp, Dist, NetworkBuilder, NodeId, Point, RoadNetwork, INFINITY};
@@ -75,8 +77,75 @@ fn arb_network_with(max_w: u32) -> impl Strategy<Value = RoadNetwork> {
         })
 }
 
+/// `HubLabels::build` over a hierarchy of `net` against
+/// `HubLabels::build_pruned` over `net`'s adjacency with the hierarchy's
+/// order reversed (hub-first): same hubs, same distances, node by node.
+fn check_build_matches_pruned_landmarks(net: &RoadNetwork, cfg: &ChConfig) -> Result<(), String> {
+    let ch = ContractionHierarchy::build(net, cfg);
+    let hl = HubLabels::build(&ch);
+    let adj: Vec<Vec<(NodeId, Dist)>> = net
+        .nodes()
+        .map(|u| {
+            net.neighbors(u)
+                .filter(|&(_, _, w)| w != INFINITY)
+                .map(|(_, v, w)| (v, w))
+                .collect()
+        })
+        .collect();
+    let hub_first: Vec<NodeId> = ch.order().iter().rev().copied().collect();
+    let pll = HubLabels::build_pruned(&adj, &hub_first);
+    for v in net.nodes() {
+        if hl.label_of(v) != pll.label_of(v) {
+            return Err(format!(
+                "label of {v} (witness cap {}): top-down {:?} vs pruned landmarks {:?}",
+                cfg.witness_cap,
+                hl.label_of(v),
+                pll.label_of(v)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Caps 1 and 3 truncate almost every witness search, so the hierarchy is
+/// full of shortcuts longer than the distance they span.
+fn witness_caps() -> [ChConfig; 3] {
+    let default = ChConfig::default();
+    [1, 3, default.witness_cap].map(|witness_cap| ChConfig {
+        witness_cap,
+        ..default
+    })
+}
+
+#[test]
+fn build_matches_pruned_landmarks_on_a_planar_network() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+    let net = dsi_graph::generate::random_planar(
+        &dsi_graph::generate::PlanarConfig {
+            num_nodes: 1_500,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    for cfg in witness_caps() {
+        check_build_matches_pruned_landmarks(&net, &cfg).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The top-down builder equals the pruned-landmark oracle on tie-heavy
+    /// (weights 1–2), possibly disconnected networks, whether the hierarchy's
+    /// shortcuts are tight or not.
+    #[test]
+    fn build_matches_pruned_landmarks(net in arb_network_with(3), wide in arb_network()) {
+        for cfg in witness_caps() {
+            prop_assert_eq!(check_build_matches_pruned_landmarks(&net, &cfg), Ok(()));
+            prop_assert_eq!(check_build_matches_pruned_landmarks(&wide, &cfg), Ok(()));
+        }
+    }
 
     /// Three oracles, one answer: label merge == CH p2p == Dijkstra on
     /// every (source, target) pair, reachable or not.

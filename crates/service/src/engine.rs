@@ -35,7 +35,11 @@
 //! (`Arc` flip + epoch bump). Readers never block on maintenance; at worst
 //! they keep answering from the previous epoch — the PR 3 degradation
 //! discipline, now applied to staleness: every answer is element-wise equal
-//! to *some* single serialized order of update batches.
+//! to *some* single serialized order of update batches. Every publish
+//! leaves a [`PublishProfile`] behind — the wall time of its maintain /
+//! hierarchy / labels / partitions / pages+swap phases — readable through
+//! [`QueryService::last_publish_profile`] and printed by
+//! [`QueryService::stats_dump`].
 //!
 //! Session stripes are per-epoch: a new epoch starts with cold stripes, so
 //! a stale decode of a retired index is unreachable by construction (the
@@ -571,6 +575,60 @@ struct MaintState {
     /// attached.
     wal: Option<UpdateJournal>,
     log_dir: Option<PathBuf>,
+    /// Phase timings of the last publish that swapped an epoch in.
+    last_publish: PublishProfile,
+}
+
+/// Where the wall time of one publish ([`QueryService::try_apply_updates`])
+/// went, phase by phase; the phases partition the call, so they sum to its
+/// latency. Kept for the last publish that swapped an epoch in — see
+/// [`QueryService::last_publish_profile`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PublishProfile {
+    /// Journal append plus the incremental patch of the canonical state:
+    /// spanning-forest repair and signature re-encoding, every edge of the
+    /// batch.
+    pub maintain: Duration,
+    /// Contraction-hierarchy rebuild (zero with the hierarchy off).
+    pub hierarchy: Duration,
+    /// Hub labels over that hierarchy plus the object buckets.
+    pub labels: Duration,
+    /// Partitioned-index rebuild (zero unless sharded).
+    pub partitions: Duration,
+    /// Everything else: the canonical-state snapshot the build works from,
+    /// the crash-safe publish protocol's files, the page image, the swap.
+    pub pages_swap: Duration,
+}
+
+impl PublishProfile {
+    /// Sum of the phases: the publish's wall time.
+    pub fn total(&self) -> Duration {
+        self.maintain + self.hierarchy + self.labels + self.partitions + self.pages_swap
+    }
+}
+
+impl std::fmt::Display for PublishProfile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        write!(
+            f,
+            "{:.1} ms: maintain {:.1}, hierarchy {:.1}, labels {:.1}, partitions {:.1}, pages+swap {:.1}",
+            ms(self.total()),
+            ms(self.maintain),
+            ms(self.hierarchy),
+            ms(self.labels),
+            ms(self.partitions),
+            ms(self.pages_swap)
+        )
+    }
+}
+
+/// Run `f`, adding its wall time to `phase`.
+fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *phase += t.elapsed();
+    out
 }
 
 /// The cloned snapshot a shadow epoch is built from.
@@ -760,6 +818,7 @@ impl QueryService {
                 published_seq: 0,
                 wal: None,
                 log_dir: None,
+                last_publish: PublishProfile::default(),
             }),
             sig,
             num_shards: cfg.shards,
@@ -1406,8 +1465,10 @@ impl QueryService {
         if updates.is_empty() {
             return Ok(Vec::new());
         }
+        let mut profile = PublishProfile::default();
         let (reports, shadow) = {
             let mut m = self.maint.lock().expect("maint lock");
+            let t = Instant::now();
             if let Some(wal) = m.wal.as_mut() {
                 wal.append(updates)?;
             }
@@ -1421,32 +1482,48 @@ impl QueryService {
                 })
                 .collect();
             m.seq += 1;
-            (reports, ShadowState::of(&m))
+            profile.maintain = t.elapsed();
+            let shadow = timed(&mut profile.pages_swap, || ShadowState::of(&m));
+            (reports, shadow)
         };
-        self.build_and_publish(shadow)?;
+        self.build_and_publish(shadow, profile)?;
         Ok(reports)
     }
 
     /// Phase 2+3 of maintenance: build the shadow epoch off to the side,
     /// catch up if update batches landed mid-build, publish atomically.
-    fn build_and_publish(&self, mut shadow: ShadowState) -> io::Result<()> {
+    /// `profile` arrives holding the time phase 1 took and leaves in
+    /// `MaintState::last_publish` when this call swaps an epoch in
+    /// (rebuild phases accumulate over catch-up rounds).
+    fn build_and_publish(
+        &self,
+        mut shadow: ShadowState,
+        mut profile: PublishProfile,
+    ) -> io::Result<()> {
         for round in 0..CATCHUP_ROUNDS {
             // Expensive rebuilds happen with no lock held: readers serve the
             // live epoch, writers acknowledge into the canonical state.
             let ch = self.hierarchy_on.then(|| {
-                Arc::new(ContractionHierarchy::build(
-                    &shadow.net,
-                    &ChConfig::default(),
-                ))
+                timed(&mut profile.hierarchy, || {
+                    Arc::new(ContractionHierarchy::build(
+                        &shadow.net,
+                        &ChConfig::default(),
+                    ))
+                })
             });
-            let hl = ch
-                .as_deref()
-                .map(|ch| ObjectLabels::build(ch, &self.objects));
+            let hl = ch.as_deref().map(|ch| {
+                timed(&mut profile.labels, || {
+                    ObjectLabels::build(ch, &self.objects)
+                })
+            });
             let parted = (self.partitions > 1).then(|| {
-                PartitionedEngine::build(&shadow.net, &self.objects, &self.sig, self.partitions)
+                timed(&mut profile.partitions, || {
+                    PartitionedEngine::build(&shadow.net, &self.objects, &self.sig, self.partitions)
+                })
             });
 
             let mut m = self.maint.lock().expect("maint lock");
+            let locked = Instant::now();
             if m.published_seq >= shadow.seq {
                 // A fresher writer already published an epoch containing
                 // this batch (its snapshot was taken after ours was
@@ -1463,7 +1540,7 @@ impl QueryService {
                     self.publish_cedes.fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
-                shadow = ShadowState::of(&m);
+                shadow = timed(&mut profile.pages_swap, || ShadowState::of(&m));
                 drop(m);
                 std::thread::sleep(Duration::from_micros(100 << round.min(6)));
                 continue;
@@ -1505,12 +1582,21 @@ impl QueryService {
             *self.live.write().expect("live epoch lock") = ep;
             self.live_epoch.store(next_epoch, Ordering::Release);
             self.epoch_swaps.fetch_add(1, Ordering::Release);
+            profile.pages_swap += locked.elapsed();
+            m.last_publish = profile;
             // A protocol I/O failure (not a kill point) still swaps: the
             // updates are journaled, so recovery replays them; only the
             // checkpoint shortcut is degraded. Surface the error.
             return protocol;
         }
         unreachable!("catch-up loop returns from within");
+    }
+
+    /// Phase timings of the last publish that swapped an epoch in (all zero
+    /// before the first): which of maintain / hierarchy / labels /
+    /// partitions / pages+swap a publish's latency is made of.
+    pub fn last_publish_profile(&self) -> PublishProfile {
+        self.maint.lock().expect("maint lock").last_publish
     }
 
     /// The durable half of a publish: journal `publish-intent`, write the
@@ -1908,6 +1994,7 @@ impl QueryService {
                 " | {swaps} epoch swaps ({} stale reads, {retries} catch-up retries, {cedes} cedes)",
                 self.stale_epoch_read_count()
             ));
+            s.push_str(&format!(" | last publish {}", self.last_publish_profile()));
         }
         let quarantines = self.quarantine_count();
         if quarantines > 0 {

@@ -39,7 +39,8 @@ pub mod workload;
 
 pub use dsi_storage::StoreMode;
 pub use engine::{
-    Backend, EpochIndex, PublishKillPoint, QueryOutput, QueryService, RecoveryReport, ServiceConfig,
+    Backend, EpochIndex, PublishKillPoint, PublishProfile, QueryOutput, QueryService,
+    RecoveryReport, ServiceConfig,
 };
 pub use journal::{EdgeUpdate, JournalRecord, UpdateJournal};
 pub use stats::{BatchReport, ClassStats, PartStats};

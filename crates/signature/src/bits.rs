@@ -217,7 +217,10 @@ mod tests {
         assert_eq!(bb.reader().remaining(), 0);
     }
 
+    // The bounds check is a `debug_assert!` (the read path is hot), so the
+    // panic exists only in debug builds.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn reading_past_end_panics() {
         let mut w = BitWriter::new();

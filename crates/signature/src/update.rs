@@ -46,6 +46,13 @@ pub struct UpdateReport {
     /// Extra nodes re-encoded only because an object-pair category changed
     /// under their compressed entries.
     pub compression_rescans: usize,
+    /// Spanning-tree nodes whose label the forest repair recomputed, summed
+    /// over the affected trees ([`dsi_graph::spanning::TreeDelta::nodes_reset`]).
+    pub tree_nodes_reset: usize,
+    /// Spanning-tree nodes the repair looked at, summed likewise — the work
+    /// counter that stays within a degree factor of `tree_nodes_reset`
+    /// however large the network is.
+    pub tree_nodes_visited: usize,
 }
 
 /// Owns the spanning forest and keeps a [`SignatureIndex`] consistent with
@@ -81,6 +88,8 @@ impl SignatureMaintainer {
         let delta = self.forest.update_edge(net, a, b, new_w);
         let mut report = UpdateReport {
             objects_affected: delta.per_object.len(),
+            tree_nodes_reset: delta.nodes_reset(),
+            tree_nodes_visited: delta.nodes_visited(),
             ..Default::default()
         };
         if delta.per_object.is_empty() {

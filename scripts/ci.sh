@@ -18,6 +18,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== cargo test --release (the optimised kernels are the ones under test) =="
+# Forest repair, label construction and the signature codec once more as
+# the benchmark and the service run them: release arithmetic, debug
+# assertions compiled out.
+cargo test --release -q -p dsi-graph -p dsi-hierarchy -p dsi-signature
+
 echo "== cargo bench --no-run (benches must keep compiling) =="
 cargo bench --workspace --no-run
 
