@@ -7,9 +7,18 @@
 //! removals/insertions, reporting signature entries touched, nodes
 //! re-encoded and pages written, against the full-rebuild yardstick
 //! (N × D entries).
+//!
+//! A second table measures what the distance oracle pays for the same
+//! locality: a publish repairs the contraction hierarchy *in the order it
+//! already has* and the hub labels over it, so the order ages while the
+//! weights move. Publishes of the benchmark's shape (8 random edges
+//! re-weighted to 1..=200) are chained and, at checkpoints, the kept order
+//! is compared with one chosen afresh for the network as it stands.
 
 use dsi_bench::{paper_dataset, paper_network, print_table, timed, Scale};
 use dsi_graph::{NodeId, INFINITY};
+use dsi_hierarchy::{ChConfig, ContractionHierarchy, HubLabels};
+use dsi_service::generate_updates;
 use dsi_signature::{SignatureIndex, SignatureMaintainer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,6 +116,90 @@ fn main() {
         &rows,
     );
     println!("\npaper's claim: updates touch a small fraction of the index (local impact)");
+
+    order_drift(&scale);
+}
+
+/// Chain publishes with the contraction order held fixed (repair) and, at
+/// checkpoints, re-choose it (build): shortcuts, label length and bytes on
+/// both sides, and what each costs.
+fn order_drift(scale: &Scale) {
+    let publishes = (4 * scale.queries).min(200);
+    let mut net = paper_network(scale);
+    let n = net.num_nodes() as f64;
+    let mut ch = ContractionHierarchy::build(&net, &ChConfig::default());
+    let mut hl = HubLabels::build(&ch);
+    let header: Vec<String> = [
+        "publish",
+        "kept: shortcuts",
+        "avg label",
+        "label B/node",
+        "fresh: shortcuts",
+        "avg label",
+        "label B/node",
+        "drift",
+        "repair ms (median)",
+        "recontracted",
+        "relabelled",
+        "rebuild ms",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let mut rows = Vec::new();
+    let (mut repair_ms, mut recontracted, mut relabelled) = (Vec::new(), Vec::new(), Vec::new());
+    for publish in 1..=publishes {
+        let log: Vec<_> = generate_updates(&net, 8, scale.seed + publish as u64)
+            .into_iter()
+            .map(|(a, b, w)| (a, b, net.set_edge_weight(a, b, w)))
+            .collect();
+        let ((new_ch, new_hl, work), secs) = timed(|| {
+            let (new_ch, redone) = ch.repaired(&net, &log);
+            let (new_hl, work) = hl.repaired(&ch, &new_ch);
+            (new_ch, new_hl, (redone, work.rebuilt))
+        });
+        (ch, hl) = (new_ch, new_hl);
+        repair_ms.push(1e3 * secs);
+        recontracted.push(work.0);
+        relabelled.push(work.1);
+        if ![1, 8, 25, 50, 100, 200].contains(&publish) && publish != publishes {
+            continue;
+        }
+        let ((fresh_ch, fresh_hl), rebuild_secs) = timed(|| {
+            let fresh = ContractionHierarchy::build(&net, &ChConfig::default());
+            let labels = HubLabels::build(&fresh);
+            (fresh, labels)
+        });
+        repair_ms.sort_by(f64::total_cmp);
+        recontracted.sort_unstable();
+        relabelled.sort_unstable();
+        rows.push(vec![
+            publish.to_string(),
+            ch.num_shortcuts().to_string(),
+            format!("{:.3}", hl.avg_label_len()),
+            format!("{:.1}", hl.label_bytes() as f64 / n),
+            fresh_ch.num_shortcuts().to_string(),
+            format!("{:.3}", fresh_hl.avg_label_len()),
+            format!("{:.1}", fresh_hl.label_bytes() as f64 / n),
+            format!(
+                "{:+.2}%",
+                100.0 * (hl.avg_label_len() / fresh_hl.avg_label_len() - 1.0)
+            ),
+            format!("{:.1}", repair_ms[repair_ms.len() / 2]),
+            recontracted[recontracted.len() / 2].to_string(),
+            relabelled[relabelled.len() / 2].to_string(),
+            format!("{:.1}", 1e3 * rebuild_secs),
+        ]);
+        repair_ms.clear();
+        recontracted.clear();
+        relabelled.clear();
+    }
+    print_table(
+        "order drift: hierarchy + labels repaired in a kept order vs rebuilt in a fresh one \
+         (repair columns: medians since the previous row)",
+        &header,
+        &rows,
+    );
 }
 
 fn random_edge(net: &dsi_graph::RoadNetwork, rng: &mut StdRng) -> (NodeId, NodeId, u32) {

@@ -23,11 +23,53 @@
 //! the network. Ties break on a seeded hash of the node id
 //! ([`ChConfig::seed`]), making the ordering — and therefore every
 //! downstream artifact — deterministic for a given seed.
+//!
+//! # Repair
+//!
+//! After a handful of edge re-weightings almost every contraction step
+//! would run exactly as it did, so [`ContractionHierarchy::repaired`]
+//! replays the contraction **in the order the hierarchy already has** and
+//! redoes only the steps that could differ. To know which, a contraction
+//! keeps a *record* per node, two flat CSRs private to the hierarchy
+//! (≈ 110 B per node on the benchmark network, never persisted):
+//!
+//! * its **plan** — the shortcuts `(a, b, weight)` its contraction
+//!   inserted, and
+//! * its **footprint** — every node whose overlay adjacency its witness
+//!   searches scanned.
+//!
+//! The replay runs a real overlay of the *new* network and tracks the set
+//! of overlay arcs whose weight or existence **differs** between the
+//! recorded run and this one at the same point of the order: seeded with
+//! the re-weighted edges, extended with the node pairs on which a
+//! re-contracted node's plan differs from its recorded one, and shrunk when
+//! an endpoint is contracted (both runs then detach its arcs). A node whose
+//! own arcs and whose footprint's arcs are all outside that set re-applies
+//! its recorded plan; any other node goes through the per-node step
+//! `build` uses — evaluate, then contract.
+//!
+//! Why reuse is sound. What a contraction step owes the overlay is: for
+//! every neighbour pair `(u, w)` of `v`, either the shortcut of weight
+//! `w(u,v) + w(v,w)`, or a path from `u` to `w` avoiding `v` that is no
+//! longer. A recorded witness is such a path, and every node on it but the
+//! last was scanned — it is in the footprint — so each of its arcs hangs
+//! off a footprint node. If no arc at a footprint node differs, the path
+//! exists unchanged in the new overlay; if no arc at `v` differs, `v` has
+//! the same neighbours at the same weights, so the recorded shortcuts
+//! carry the right weights and the pairs without one still have their
+//! witness. That is all a witness search — truncated or not — ever
+//! promises; a change it never looked at may have created a witness the
+//! recorded plan does not use, which costs a redundant shortcut, not an
+//! answer. Hence the repaired hierarchy is *a* hierarchy of the network in
+//! that order, exact for every query, though not necessarily arc for arc
+//! the one a full replay finds (in practice it is: identical on every
+//! epoch of the benchmark's schedule). Hub labels, being canonical for an
+//! order and a metric, cannot tell the difference.
 
 use dsi_graph::{Dist, NodeId, RoadNetwork, SsspWorkspace, INFINITY, NO_NODE};
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Preprocessing parameters.
 #[derive(Clone, Copy, Debug)]
@@ -91,16 +133,70 @@ pub struct ContractionHierarchy {
     /// Max upward-arc weight: the key step bound for upward searches.
     pub(crate) up_step_bound: Dist,
     pub(crate) num_shortcuts: u32,
+    /// What contraction did per node, for [`Self::repaired`]; `None` on a
+    /// hierarchy read from a snapshot (the record is not persisted).
+    record: Option<Record>,
 }
 
-impl ContractionHierarchy {
-    /// Contract `net` into a hierarchy. Deterministic for a given
-    /// `cfg.seed` — identical ranks, shortcuts, and arc order every run.
-    pub fn build(net: &RoadNetwork, cfg: &ChConfig) -> ContractionHierarchy {
-        let n = net.num_nodes();
+/// The contraction record: per node, in contraction order (row `r` belongs
+/// to `order[r]`), the shortcuts its contraction inserted and the nodes
+/// whose overlay adjacency its witness searches read. Two flat CSRs.
+#[derive(Clone, Debug)]
+pub(crate) struct Record {
+    /// The cap the recorded witness searches ran under.
+    witness_cap: usize,
+    plan_index: Vec<u32>,
+    plans: Vec<(NodeId, NodeId, Dist)>,
+    footprint_index: Vec<u32>,
+    footprints: Vec<NodeId>,
+}
 
-        // Overlay = current (non-removed) edges; parallel edges collapse to
-        // their minimum, self-loops never help a shortest path.
+impl Record {
+    /// Shortcuts `order[r]` inserted, as `(a, b, weight)`.
+    fn plan(&self, r: usize) -> &[(NodeId, NodeId, Dist)] {
+        &self.plans[self.plan_index[r] as usize..self.plan_index[r + 1] as usize]
+    }
+
+    /// Nodes whose adjacency the witness searches of `order[r]` scanned.
+    fn footprint(&self, r: usize) -> &[NodeId] {
+        &self.footprints[self.footprint_index[r] as usize..self.footprint_index[r + 1] as usize]
+    }
+}
+
+/// A contraction in progress: the overlay, the per-node step ([`evaluate`]
+/// then [`contract`]) and everything the finished hierarchy is made of.
+/// [`ContractionHierarchy::build`] drives it in priority order,
+/// [`ContractionHierarchy::repaired`] in a recorded one.
+///
+/// [`evaluate`]: Contraction::evaluate
+/// [`contract`]: Contraction::contract
+struct Contraction {
+    n: usize,
+    overlay: Vec<Vec<OvArc>>,
+    /// Max overlay arc weight so far: the witness searches' key step bound.
+    max_w: Dist,
+    /// Contracted neighbours per node (the ordering heuristic's spread term).
+    deleted: Vec<u32>,
+    ws: SsspWorkspace,
+    /// The shortcuts the next [`Self::contract`] inserts and the footprint
+    /// it records: left by [`Self::evaluate`], or recalled from a record.
+    plan: Vec<(NodeId, NodeId, Dist)>,
+    footprint: Vec<NodeId>,
+    /// `seen[x] == r + 1` ⇔ `x` is already in the recorded footprint of
+    /// the node being contracted at rank `r`.
+    seen: Vec<u32>,
+    rank: Vec<u32>,
+    order: Vec<NodeId>,
+    up_lists: Vec<Vec<UpArc>>,
+    num_shortcuts: u32,
+    record: Record,
+}
+
+impl Contraction {
+    /// Overlay = `net`'s current (non-removed) edges; parallel edges
+    /// collapse to their minimum, self-loops never help a shortest path.
+    fn start(net: &RoadNetwork, witness_cap: usize) -> Contraction {
+        let n = net.num_nodes();
         let mut overlay: Vec<Vec<OvArc>> = vec![Vec::new(); n];
         let mut max_w: Dist = 1;
         for u in net.nodes() {
@@ -112,34 +208,118 @@ impl ContractionHierarchy {
                 max_w = max_w.max(w);
             }
         }
+        Contraction {
+            n,
+            overlay,
+            max_w,
+            deleted: vec![0; n],
+            ws: SsspWorkspace::new(),
+            plan: Vec::new(),
+            footprint: Vec::new(),
+            seen: vec![0; n],
+            rank: vec![0; n],
+            order: Vec::with_capacity(n),
+            up_lists: vec![Vec::new(); n],
+            num_shortcuts: 0,
+            record: Record {
+                witness_cap,
+                plan_index: vec![0],
+                plans: Vec::new(),
+                footprint_index: vec![0],
+                footprints: Vec::new(),
+            },
+        }
+    }
 
-        let mut alive = vec![true; n];
-        let mut deleted = vec![0u32; n];
-        let mut ws = SsspWorkspace::new();
-        let mut plan: Vec<(NodeId, NodeId, Dist)> = Vec::new();
+    /// `v`'s contraction priority on the overlay as it stands, leaving the
+    /// shortcuts its contraction would insert in `plan` and the nodes the
+    /// witness searches scanned in `footprint`.
+    fn evaluate(&mut self, v: NodeId) -> i64 {
+        priority(
+            &self.overlay,
+            v,
+            self.deleted[v.index()],
+            &mut self.ws,
+            &mut self.plan,
+            &mut self.footprint,
+            self.record.witness_cap,
+            self.max_w,
+            self.n,
+        )
+    }
+
+    /// Contract `v`: insert `plan`, record it with `footprint`, keep `v`'s
+    /// remaining arcs as its upward arcs (every remaining neighbour
+    /// outranks it) and detach it from the overlay.
+    fn contract(&mut self, v: NodeId) {
+        for &(a, b, through) in &self.plan {
+            if add_arc(&mut self.overlay, a, b, through, v) {
+                self.num_shortcuts += 1;
+            }
+            self.max_w = self.max_w.max(through);
+        }
+        self.record.plans.extend_from_slice(&self.plan);
+        self.record.plan_index.push(self.record.plans.len() as u32);
+        // Searches from different neighbours scan the same nodes over and
+        // over; the record keeps each once. `v`'s rank + 1 is a stamp no
+        // earlier contraction used.
+        let (seen, stamp) = (&mut self.seen, self.order.len() as u32 + 1);
+        self.record.footprints.extend(
+            self.footprint
+                .iter()
+                .filter(|x| std::mem::replace(&mut seen[x.index()], stamp) != stamp),
+        );
+        self.record
+            .footprint_index
+            .push(self.record.footprints.len() as u32);
+
+        let arcs = std::mem::take(&mut self.overlay[v.index()]);
+        for a in &arcs {
+            self.overlay[a.to.index()].retain(|b| b.to != v);
+            self.deleted[a.to.index()] += 1;
+        }
+        self.up_lists[v.index()] = arcs
+            .iter()
+            .map(|a| UpArc {
+                to: a.to,
+                weight: a.weight,
+                middle: a.middle,
+            })
+            .collect();
+        self.rank[v.index()] = self.order.len() as u32;
+        self.order.push(v);
+    }
+
+    fn finish(mut self, seed: u64) -> ContractionHierarchy {
+        debug_assert_eq!(self.order.len(), self.n);
+        self.record.plans.shrink_to_fit();
+        self.record.footprints.shrink_to_fit();
+        ContractionHierarchy::from_up_lists(
+            self.n,
+            seed,
+            self.rank,
+            self.order,
+            self.up_lists,
+            self.num_shortcuts,
+            Some(self.record),
+        )
+    }
+}
+
+impl ContractionHierarchy {
+    /// Contract `net` into a hierarchy. Deterministic for a given
+    /// `cfg.seed` — identical ranks, shortcuts, and arc order every run.
+    pub fn build(net: &RoadNetwork, cfg: &ChConfig) -> ContractionHierarchy {
+        let n = net.num_nodes();
+        let mut c = Contraction::start(net, cfg.witness_cap);
 
         // Lazy-update ordering queue: (priority, seeded tie, node id).
         let mut heap: BinaryHeap<Reverse<(i64, u64, u32)>> = BinaryHeap::with_capacity(n);
         for v in 0..n as u32 {
-            let node = NodeId(v);
-            let p = priority(
-                &overlay,
-                node,
-                deleted[v as usize],
-                &mut ws,
-                &mut plan,
-                cfg.witness_cap,
-                max_w,
-                n,
-            );
+            let p = c.evaluate(NodeId(v));
             heap.push(Reverse((p, tie_break(cfg.seed, v), v)));
         }
-
-        let mut rank = vec![0u32; n];
-        let mut order = Vec::with_capacity(n);
-        let mut up_lists: Vec<Vec<UpArc>> = vec![Vec::new(); n];
-        let mut num_shortcuts = 0u32;
-
+        let mut alive = vec![true; n];
         while let Some(Reverse((_, t, vi))) = heap.pop() {
             let v = NodeId(vi);
             if !alive[v.index()] {
@@ -148,58 +328,84 @@ impl ContractionHierarchy {
             // Lazy update: the node's surroundings may have changed since
             // it was queued. Recompute; if it no longer beats the queue
             // head, requeue and try again.
-            let p = priority(
-                &overlay,
-                v,
-                deleted[v.index()],
-                &mut ws,
-                &mut plan,
-                cfg.witness_cap,
-                max_w,
-                n,
-            );
+            let p = c.evaluate(v);
             if let Some(&Reverse(top)) = heap.peek() {
                 if (p, t, vi) > top {
                     heap.push(Reverse((p, t, vi)));
                     continue;
                 }
             }
-
-            // Contract v: `plan` still holds the shortcut set computed by
-            // the priority call above (the overlay has not changed since).
-            for &(a, b, through) in &plan {
-                if add_arc(&mut overlay, a, b, through, v) {
-                    num_shortcuts += 1;
-                }
-                max_w = max_w.max(through);
-            }
-            // Record v's arcs as its upward arcs (every remaining neighbor
-            // outranks it), then detach v from the overlay.
-            up_lists[v.index()] = overlay[v.index()]
-                .iter()
-                .map(|a| UpArc {
-                    to: a.to,
-                    weight: a.weight,
-                    middle: a.middle,
-                })
-                .collect();
-            let nbrs: Vec<NodeId> = overlay[v.index()].iter().map(|a| a.to).collect();
-            for u in nbrs {
-                overlay[u.index()].retain(|a| a.to != v);
-                deleted[u.index()] += 1;
-            }
-            overlay[v.index()].clear();
+            // The evaluation above still describes the overlay: contract.
+            c.contract(v);
             alive[v.index()] = false;
-            rank[v.index()] = order.len() as u32;
-            order.push(v);
         }
-        debug_assert_eq!(order.len(), n);
-
-        Self::from_up_lists(n, cfg.seed, rank, order, up_lists, num_shortcuts)
+        c.finish(cfg.seed)
     }
 
-    /// Assemble the CSR arrays (shared by [`Self::build`] and the
-    /// persistence loader).
+    /// The hierarchy of `net` in **this hierarchy's order**, re-contracting
+    /// only the nodes whose witness searches could have seen a change (see
+    /// the module docs); returns it with the number of nodes re-contracted.
+    ///
+    /// `self` must be a hierarchy of a network with `net`'s edges, and
+    /// `changed` must name every edge whose weight may differ between that
+    /// network and `net`, as `(a, b, weight it had then)`, oldest change
+    /// first — an edge listed twice is judged by its first entry, and one
+    /// whose weight is what it was costs nothing. A hierarchy without a
+    /// contraction record (one read from a snapshot) is re-contracted whole,
+    /// with the default witness cap; the result always carries a record.
+    pub fn repaired(
+        &self,
+        net: &RoadNetwork,
+        changed: &[(NodeId, NodeId, Dist)],
+    ) -> (ContractionHierarchy, usize) {
+        assert_eq!(net.num_nodes(), self.n, "repair over a different network");
+        let witness_cap = self
+            .record
+            .as_ref()
+            .map_or(ChConfig::default().witness_cap, |r| r.witness_cap);
+        let mut c = Contraction::start(net, witness_cap);
+
+        // Overlay arcs whose weight or existence differs between the
+        // recorded run and this one, as symmetric per-node lists.
+        let mut differing: Vec<Vec<NodeId>> = vec![Vec::new(); self.n];
+        let mut seen = HashSet::with_capacity(changed.len());
+        for &(a, b, old_w) in changed {
+            if seen.insert((a.min(b), a.max(b))) && net.edge_weight(a, b) != Some(old_w) {
+                mark_differing(&mut differing, a, b);
+            }
+        }
+
+        let mut recontracted = 0;
+        for (r, &v) in self.order.iter().enumerate() {
+            let clean = |x: &NodeId| differing[x.index()].is_empty();
+            match &self.record {
+                Some(old) if clean(&v) && old.footprint(r).iter().all(clean) => {
+                    c.plan.clear();
+                    c.plan.extend_from_slice(old.plan(r));
+                    c.footprint.clear();
+                    c.footprint.extend_from_slice(old.footprint(r));
+                }
+                old => {
+                    c.evaluate(v);
+                    recontracted += 1;
+                    if let Some(old) = old {
+                        plan_differences(old.plan(r), &c.plan, |a, b| {
+                            mark_differing(&mut differing, a, b)
+                        });
+                    }
+                }
+            }
+            c.contract(v);
+            // Both runs have now detached `v`: its arcs differ no more.
+            for u in std::mem::take(&mut differing[v.index()]) {
+                differing[u.index()].retain(|&x| x != v);
+            }
+        }
+        (c.finish(self.seed), recontracted)
+    }
+
+    /// Assemble the CSR arrays (shared by the contraction and the
+    /// persistence loader, which has no record to hand over).
     pub(crate) fn from_up_lists(
         n: usize,
         seed: u64,
@@ -207,6 +413,7 @@ impl ContractionHierarchy {
         order: Vec<NodeId>,
         up_lists: Vec<Vec<UpArc>>,
         num_shortcuts: u32,
+        record: Option<Record>,
     ) -> ContractionHierarchy {
         let mut up_index = Vec::with_capacity(n + 1);
         up_index.push(0u32);
@@ -239,6 +446,7 @@ impl ContractionHierarchy {
             sweep_arcs,
             up_step_bound,
             num_shortcuts,
+            record,
         }
     }
 
@@ -366,8 +574,38 @@ fn add_arc(overlay: &mut [Vec<OvArc>], u: NodeId, v: NodeId, w: Dist, middle: No
     true
 }
 
+/// Add `{a, b}` to the symmetric per-node lists of differing arcs.
+fn mark_differing(differing: &mut [Vec<NodeId>], a: NodeId, b: NodeId) {
+    if a != b && !differing[a.index()].contains(&b) {
+        differing[a.index()].push(b);
+        differing[b.index()].push(a);
+    }
+}
+
+/// Call `mark` on every node pair that one of two plans of the same node
+/// bridges and the other does not, or bridges at another weight.
+fn plan_differences(
+    old: &[(NodeId, NodeId, Dist)],
+    new: &[(NodeId, NodeId, Dist)],
+    mut mark: impl FnMut(NodeId, NodeId),
+) {
+    if old == new {
+        return;
+    }
+    let same = |x: &(NodeId, NodeId, Dist), y: &(NodeId, NodeId, Dist)| {
+        x.2 == y.2 && ((x.0, x.1) == (y.0, y.1) || (x.0, x.1) == (y.1, y.0))
+    };
+    for x in old.iter().filter(|x| !new.iter().any(|y| same(x, y))) {
+        mark(x.0, x.1);
+    }
+    for y in new.iter().filter(|y| !old.iter().any(|x| same(x, y))) {
+        mark(y.0, y.1);
+    }
+}
+
 /// Compute `v`'s contraction priority and leave the shortcut set its
-/// contraction would insert in `plan`.
+/// contraction would insert in `plan`, and every node whose adjacency the
+/// witness searches scanned in `footprint` (repeats included).
 ///
 /// For every neighbor pair `(u, w)` the path `u–v–w` needs a shortcut
 /// unless a witness search from `u`, avoiding `v`, reaches `w` within
@@ -380,11 +618,13 @@ fn priority(
     deleted: u32,
     ws: &mut SsspWorkspace,
     plan: &mut Vec<(NodeId, NodeId, Dist)>,
+    footprint: &mut Vec<NodeId>,
     witness_cap: usize,
     step_bound: Dist,
     n: usize,
 ) -> i64 {
     plan.clear();
+    footprint.clear();
     let nbrs = &overlay[v.index()];
     for i in 0..nbrs.len() {
         let (u, wu) = (nbrs[i].to, nbrs[i].weight);
@@ -400,6 +640,7 @@ fn priority(
             witness_cap,
             step_bound,
             n,
+            footprint,
         );
         for a in &nbrs[i + 1..] {
             let through = wu.saturating_add(a.weight);
@@ -417,7 +658,8 @@ fn priority(
 /// Bounded Dijkstra from `source` on the overlay, never entering
 /// `excluded`; stops once popped keys reach `limit` or `cap` nodes
 /// settled. Labels left in `ws` are valid path lengths avoiding
-/// `excluded`.
+/// `excluded`, each over a path whose every node but the last was scanned
+/// — and pushed onto `footprint`.
 #[allow(clippy::too_many_arguments)]
 fn witness_search(
     overlay: &[Vec<OvArc>],
@@ -428,6 +670,7 @@ fn witness_search(
     cap: usize,
     step_bound: Dist,
     n: usize,
+    footprint: &mut Vec<NodeId>,
 ) {
     ws.begin_external(n, step_bound);
     ws.improve(source, 0);
@@ -437,6 +680,7 @@ fn witness_search(
         if d >= limit || settled >= cap {
             break;
         }
+        footprint.push(x);
         for a in &overlay[x.index()] {
             if a.to != excluded {
                 ws.improve(a.to, d + a.weight);
@@ -499,6 +743,29 @@ mod tests {
         // On a symmetric grid the ordering is pure tie-break, so a new
         // seed virtually always permutes it.
         assert_ne!(a.rank, c.rank, "tie-break ignored the seed");
+    }
+
+    #[test]
+    fn repair_judges_an_edge_by_its_first_log_entry() {
+        let mut g = grid(8, 8);
+        let ch = ContractionHierarchy::build(&g, &ChConfig::default());
+        let (a, b) = (NodeId(0), NodeId(1));
+        let w0 = g.edge_weight(a, b).expect("grid edge");
+        // Raised and put back: two log entries, nothing to redo.
+        let (same, redone) = ch.repaired(&g, &[(a, b, w0), (b, a, w0 + 5)]);
+        assert_eq!(redone, 0);
+        assert_eq!(same.up_arcs, ch.up_arcs);
+        // Raised twice: the later entry's "before" equals the weight now,
+        // the first one's does not.
+        g.set_edge_weight(a, b, w0 + 5);
+        let (new, redone) = ch.repaired(&g, &[(a, b, w0), (a, b, w0 + 5)]);
+        assert!(redone > 0);
+        assert_eq!(new.order, ch.order);
+        let mut ws = crate::ChWorkspace::new();
+        let tree = dsi_graph::sssp(&g, a);
+        for t in g.nodes() {
+            assert_eq!(new.p2p(a, t, &mut ws), tree.dist[t.index()]);
+        }
     }
 
     #[test]

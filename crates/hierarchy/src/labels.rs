@@ -28,6 +28,30 @@
 //! build is serial: at 16k nodes it takes ~0.1 s, under half the cost of
 //! the hierarchy it reads.
 //!
+//! [`HubLabels::repaired`] is that loop with one test in front. Given the
+//! labels of an older hierarchy of the same order, everything the loop
+//! reads while building `L(v)` is: `v`'s upward arcs; the labels of its
+//! upward neighbours (the candidates); and, in the pruning pass, the label
+//! `L(h)` of *every candidate hub* `h`. So `v` is rebuilt iff
+//!
+//! 1. its upward arcs differ between the two hierarchies, **or**
+//! 2. an upward neighbour's label came out different from its old one,
+//!    **or**
+//! 3. some hub in an upward neighbour's label has a label that came out
+//!    different —
+//!
+//! and otherwise its old label is the label the loop would produce, and
+//! is kept without being looked at. Clauses 2 and 3 are one bit per node,
+//! `tainted[u]` = "`L(u)` changed or names a hub whose label changed",
+//! known when `u` is finished and free for a kept label: a node that is
+//! not rebuilt had no tainted neighbour above it, and its hubs all come
+//! from those neighbours' labels. Clause 3 is not optional: a hub's label
+//! can change — a distance to a far, higher hub moves — while the labels of
+//! everything between stay bit-equal, and the nodes below then prune
+//! against a changed `L(h)`. Propagation stops wherever a rebuilt label is
+//! bit-equal to the old one and names no changed hub. `build` is the same
+//! loop with nothing to compare against, so every node is built.
+//!
 //! Storage is a flat CSR: `index[v]..index[v+1]` brackets `v`'s entries in
 //! `hubs`/`dists`, hubs sorted ascending by node id so lookups are sorted
 //! merges. [`LabelBuckets`] inverts a target set's labels (hub →
@@ -57,24 +81,82 @@ pub struct HubLabels {
     pub(crate) dists: Vec<Dist>,
 }
 
+/// The work one [`HubLabels::repaired`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LabelRepair {
+    /// Labels run through the builder again.
+    pub rebuilt: usize,
+    /// Of those, the ones that came out different from the old label.
+    pub changed: usize,
+}
+
 impl HubLabels {
     /// Canonical labels of `ch`, built top-down (see the module docs).
     /// Deterministic: the same hierarchy always yields the same labels.
     pub fn build(ch: &ContractionHierarchy) -> HubLabels {
+        Self::top_down(ch, None).0
+    }
+
+    /// The canonical labels of `new_ch` — equal to
+    /// [`HubLabels::build`]`(new_ch)` — given that `self` holds those of
+    /// `old_ch`: the same top-down loop, rebuilding only the labels whose
+    /// inputs moved (the dirty rule in the module docs) and copying the
+    /// rest. Hierarchies in different orders share no label, so then every
+    /// label is rebuilt.
+    pub fn repaired(
+        &self,
+        old_ch: &ContractionHierarchy,
+        new_ch: &ContractionHierarchy,
+    ) -> (HubLabels, LabelRepair) {
+        let comparable = self.n == old_ch.num_nodes() && old_ch.order() == new_ch.order();
+        Self::top_down(new_ch, comparable.then_some((self, old_ch)))
+    }
+
+    /// The one label builder. With `base = (labels, hierarchy)` of the same
+    /// contraction order, a node whose inputs are provably those of the
+    /// base run keeps the base label; without, every node is built.
+    fn top_down(
+        ch: &ContractionHierarchy,
+        base: Option<(&HubLabels, &ContractionHierarchy)>,
+    ) -> (HubLabels, LabelRepair) {
         let n = ch.num_nodes();
-        // Finished labels back to back in build order, each in the order
-        // its entries were kept (descending hub rank — the hubs most likely
-        // to cover a candidate come first, so the coverage scan exits
-        // early); `span[v]` brackets `v`'s entries.
+        // Built labels back to back in build order, each in the order its
+        // entries were kept (descending hub rank — the hubs most likely to
+        // cover a candidate come first, so the coverage scan exits early),
+        // and among them, as stored, the base labels a built one had to
+        // read; `span[v]` brackets `v`'s entries, empty while `v` has none
+        // here.
         let mut arena: Vec<(NodeId, Dist)> = Vec::new();
         let mut span = vec![(0usize, 0usize); n];
+        // `built[v]`: `v` went through the builder. `changed[v]`: and came
+        // out different from its base label. `tainted[v]`: `changed[v]`, or
+        // some hub of `v`'s label has a changed label.
+        let mut built = vec![false; n];
+        let mut changed = vec![false; n];
+        let mut tainted = vec![false; n];
+        let mut work = LabelRepair::default();
         // Dense per-hub scratch, all-INFINITY between nodes.
         let mut cand_dist = vec![INFINITY; n];
         let mut kept_dist = vec![INFINITY; n];
         let mut cands: Vec<NodeId> = Vec::new();
 
         for &v in ch.order().iter().rev() {
-            for a in ch.up_arcs_of(v) {
+            let ups = ch.up_arcs_of(v);
+            if let Some((old, old_ch)) = base {
+                let was = old_ch.up_arcs_of(v);
+                let same_arcs = ups.len() == was.len()
+                    && ups
+                        .iter()
+                        .zip(was)
+                        .all(|(a, b)| (a.to, a.weight) == (b.to, b.weight));
+                if same_arcs && !ups.iter().any(|a| tainted[a.to.index()]) {
+                    continue;
+                }
+                for a in ups {
+                    old.copy_into(a.to, &mut arena, &mut span);
+                }
+            }
+            for a in ups {
                 let (lo, hi) = span[a.to.index()];
                 for &(h, d) in &arena[lo..hi] {
                     let slot = &mut cand_dist[h.index()];
@@ -87,6 +169,11 @@ impl HubLabels {
             // Descending hub rank: when candidate `h` is tested, every hub
             // that could cover it is already kept.
             cands.sort_unstable_by_key(|&h| Reverse(ch.rank_of(h)));
+            if let Some((old, _)) = base {
+                for &h in &cands {
+                    old.copy_into(h, &mut arena, &mut span);
+                }
+            }
             let start = arena.len();
             for h in cands.drain(..) {
                 let d = std::mem::replace(&mut cand_dist[h.index()], INFINITY);
@@ -100,29 +187,69 @@ impl HubLabels {
                 }
             }
             arena.push((v, 0));
+            if let Some((old, _)) = base {
+                let (hs, ds) = old.label_of(v);
+                let same = hs.len() == arena.len() - start
+                    && hs
+                        .iter()
+                        .zip(ds)
+                        .all(|(&h, &d)| h == v || kept_dist[h.index()] == d);
+                changed[v.index()] = !same;
+                tainted[v.index()] =
+                    !same || arena[start..].iter().any(|&(h, _)| changed[h.index()]);
+                work.rebuilt += 1;
+                work.changed += usize::from(!same);
+            }
             for &(h, _) in &arena[start..] {
                 kept_dist[h.index()] = INFINITY;
             }
             span[v.index()] = (start, arena.len());
+            built[v.index()] = true;
         }
-        for &(lo, hi) in &span {
-            arena[lo..hi].sort_unstable_by_key(|&(h, _)| h);
-        }
-        HubLabels::from_sorted(ch.seed(), span.iter().map(|&(lo, hi)| &arena[lo..hi]))
+
+        let labels = HubLabels::assemble(ch.seed(), n, |v, hubs, dists| match base {
+            Some((old, _)) if !built[v] => {
+                let (hs, ds) = old.label_of(NodeId(v as u32));
+                hubs.extend_from_slice(hs);
+                dists.extend_from_slice(ds);
+            }
+            _ => {
+                let (lo, hi) = span[v];
+                arena[lo..hi].sort_unstable_by_key(|&(h, _)| h);
+                hubs.extend(arena[lo..hi].iter().map(|&(h, _)| h));
+                dists.extend(arena[lo..hi].iter().map(|&(_, d)| d));
+            }
+        });
+        (labels, work)
     }
 
-    /// Lay per-node labels (node-id order, each ascending by hub id) out as
-    /// the CSR.
-    fn from_sorted<'a>(seed: u64, labels: impl Iterator<Item = &'a [(NodeId, Dist)]>) -> HubLabels {
-        let mut index = vec![0u32];
+    /// Put `x`'s label where the builder reads labels — appended to
+    /// `arena` — unless it is there already.
+    fn copy_into(&self, x: NodeId, arena: &mut Vec<(NodeId, Dist)>, span: &mut [(usize, usize)]) {
+        if span[x.index()] == (0, 0) {
+            let start = arena.len();
+            let (hs, ds) = self.label_of(x);
+            arena.extend(hs.iter().copied().zip(ds.iter().copied()));
+            span[x.index()] = (start, arena.len());
+        }
+    }
+
+    /// Lay per-node labels out as the CSR: `push_label(v, hubs, dists)`
+    /// appends node `v`'s entries, ascending by hub id.
+    fn assemble(
+        seed: u64,
+        n: usize,
+        mut push_label: impl FnMut(usize, &mut Vec<NodeId>, &mut Vec<Dist>),
+    ) -> HubLabels {
+        let mut index = Vec::with_capacity(n + 1);
+        index.push(0u32);
         let (mut hubs, mut dists) = (Vec::new(), Vec::new());
-        for lab in labels {
-            hubs.extend(lab.iter().map(|&(h, _)| h));
-            dists.extend(lab.iter().map(|&(_, d)| d));
+        for v in 0..n {
+            push_label(v, &mut hubs, &mut dists);
             index.push(hubs.len() as u32);
         }
         HubLabels {
-            n: index.len() - 1,
+            n,
             seed,
             index,
             hubs,
@@ -193,10 +320,11 @@ impl HubLabels {
             heap.clear();
         }
 
-        for lab in &mut labels {
-            lab.sort_unstable_by_key(|&(h, _)| h);
-        }
-        HubLabels::from_sorted(0, labels.iter().map(Vec::as_slice))
+        HubLabels::assemble(0, n, |v, hubs, dists| {
+            labels[v].sort_unstable_by_key(|&(h, _)| h);
+            hubs.extend(labels[v].iter().map(|&(h, _)| h));
+            dists.extend(labels[v].iter().map(|&(_, d)| d));
+        })
     }
 
     #[inline]

@@ -28,6 +28,13 @@
 //!   queries, [`HubLabels::knn`] for the bucket kNN,
 //!   [`HubLabels::one_to_many`] for the unbounded case); no graph traversal
 //!   at query time at all.
+//! * **Repair** ([`ContractionHierarchy::repaired`], then
+//!   [`HubLabels::repaired`]): after edge re-weightings, the hierarchy of
+//!   the same order and its canonical labels, re-contracting only the nodes
+//!   whose witness searches could have seen a change and rebuilding only
+//!   the labels whose inputs moved — through the very per-node contraction
+//!   step and label loop the builders run, so `build` stays the oracle the
+//!   repairs are tested against.
 //!
 //! Witness searches, upward searches, and the PHAST upward phase all run on
 //! [`dsi_graph::SsspWorkspace`] through its external-search API
@@ -45,7 +52,7 @@ pub mod phast;
 pub mod query;
 
 pub use build::{ChConfig, ContractionHierarchy, UpArc};
-pub use labels::{HubLabels, LabelBuckets};
+pub use labels::{HubLabels, LabelBuckets, LabelRepair};
 pub use persist::{
     load_hierarchy, load_labels, read_hierarchy, read_labels, save_hierarchy, save_labels,
     write_hierarchy, write_labels,

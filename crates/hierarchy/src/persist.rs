@@ -12,7 +12,9 @@
 //!
 //! Only ranks and upward arcs are stored; the rank order and the downward
 //! CSR are re-derived at load, so a loaded hierarchy is structurally
-//! identical to the one saved.
+//! identical to the one saved. The contraction record is not stored: a
+//! loaded hierarchy answers like the saved one, and
+//! [`ContractionHierarchy::repaired`] re-contracts it whole.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -139,6 +141,7 @@ pub fn read_hierarchy<R: Read>(r: R) -> Result<ContractionHierarchy, LoadError> 
         order,
         up_lists,
         num_shortcuts,
+        None,
     ))
 }
 

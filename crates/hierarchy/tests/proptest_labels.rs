@@ -9,11 +9,17 @@
 //! bucket kNN exactly sort-everything-then-truncate, ties at the cut
 //! included. The top-down builder itself is pinned to an independent
 //! construction: pruned-landmark labelling over the plain adjacency, hubs
-//! in reverse contraction order, must yield the very same arrays.
+//! in reverse contraction order, must yield the very same arrays. And the
+//! repairs are pinned to the builders: through chains of re-weightings,
+//! removals and re-insertions, `ContractionHierarchy::repaired` keeps the
+//! order and answers like Dijkstra, and `HubLabels::repaired` over it is
+//! `HubLabels::build` of it, which is the pruned-landmark labelling again.
 
 use dsi_graph::ids::dist_add;
 use dsi_graph::{sssp, Dist, NetworkBuilder, NodeId, Point, RoadNetwork, INFINITY};
-use dsi_hierarchy::{ChConfig, ChWorkspace, ContractionHierarchy, HubLabels};
+use dsi_hierarchy::{
+    read_hierarchy, write_hierarchy, ChConfig, ChWorkspace, ContractionHierarchy, HubLabels,
+};
 use proptest::prelude::*;
 
 /// One or two ring-with-chords clusters, bridged by zero or more extra
@@ -27,6 +33,12 @@ fn arb_network() -> impl Strategy<Value = RoadNetwork> {
 /// range (`max_w = 3`) packs the distance spectrum with ties, so a kNN cut
 /// almost always lands inside a group of equidistant targets.
 fn arb_network_with(max_w: u32) -> impl Strategy<Value = RoadNetwork> {
+    arb_clusters(max_w).prop_map(|(net, _)| net)
+}
+
+/// [`arb_network_with`] plus the size of the first cluster: an edge joins
+/// the clusters iff exactly one endpoint's id is below it.
+fn arb_clusters(max_w: u32) -> impl Strategy<Value = (RoadNetwork, usize)> {
     (
         3usize..14,
         0usize..14,
@@ -73,7 +85,7 @@ fn arb_network_with(max_w: u32) -> impl Strategy<Value = RoadNetwork> {
                     }
                 }
             }
-            b.build()
+            (b.build(), n1)
         })
 }
 
@@ -82,7 +94,16 @@ fn arb_network_with(max_w: u32) -> impl Strategy<Value = RoadNetwork> {
 /// order reversed (hub-first): same hubs, same distances, node by node.
 fn check_build_matches_pruned_landmarks(net: &RoadNetwork, cfg: &ChConfig) -> Result<(), String> {
     let ch = ContractionHierarchy::build(net, cfg);
-    let hl = HubLabels::build(&ch);
+    check_labels_match_pruned_landmarks(net, &ch, &HubLabels::build(&ch))
+        .map_err(|e| format!("witness cap {}: {e}", cfg.witness_cap))
+}
+
+/// `hl` against the pruned-landmark labelling of `net` in `ch`'s order.
+fn check_labels_match_pruned_landmarks(
+    net: &RoadNetwork,
+    ch: &ContractionHierarchy,
+    hl: &HubLabels,
+) -> Result<(), String> {
     let adj: Vec<Vec<(NodeId, Dist)>> = net
         .nodes()
         .map(|u| {
@@ -97,8 +118,7 @@ fn check_build_matches_pruned_landmarks(net: &RoadNetwork, cfg: &ChConfig) -> Re
     for v in net.nodes() {
         if hl.label_of(v) != pll.label_of(v) {
             return Err(format!(
-                "label of {v} (witness cap {}): top-down {:?} vs pruned landmarks {:?}",
-                cfg.witness_cap,
+                "label of {v}: top-down {:?} vs pruned landmarks {:?}",
                 hl.label_of(v),
                 pll.label_of(v)
             ));
@@ -115,6 +135,189 @@ fn witness_caps() -> [ChConfig; 3] {
         witness_cap,
         ..default
     })
+}
+
+/// One network edit of a repair chain, drawn blind and resolved against
+/// the network as it stands: `edge` picks among all edges, removed ones
+/// included.
+#[derive(Clone, Copy, Debug)]
+enum Edit {
+    /// Re-weight the picked edge to `w` (an increase, a decrease or a
+    /// re-insertion, whatever the edge held).
+    Set { edge: usize, w: Dist },
+    /// Remove the picked edge.
+    Remove { edge: usize },
+    /// Remove every edge between the two clusters, or with a single cluster
+    /// every edge of the picked edge's first endpoint: a piece of the
+    /// network becomes unreachable.
+    Sever { edge: usize },
+}
+
+fn arb_edit(max_w: u32) -> impl Strategy<Value = Edit> {
+    (0u8..7, 0usize..200, 1u32..max_w).prop_map(|(kind, edge, w)| match kind {
+        0..=3 => Edit::Set { edge, w },
+        4 | 5 => Edit::Remove { edge },
+        _ => Edit::Sever { edge },
+    })
+}
+
+/// Apply `edit` to `net`, appending `(a, b, weight before)` per edge
+/// touched to `log` — the contract of `ContractionHierarchy::repaired`.
+fn apply_edit(net: &mut RoadNetwork, n1: usize, edit: Edit, log: &mut Vec<(NodeId, NodeId, Dist)>) {
+    let edges: Vec<(NodeId, NodeId)> = net
+        .nodes()
+        .flat_map(|u| net.neighbors(u).map(move |(_, v, _)| (u, v)))
+        .filter(|&(u, v)| u < v)
+        .collect();
+    if edges.is_empty() {
+        return;
+    }
+    let mut set = |a: NodeId, b: NodeId, w: Dist| log.push((a, b, net.set_edge_weight(a, b, w)));
+    match edit {
+        Edit::Set { edge, w } => {
+            let (a, b) = edges[edge % edges.len()];
+            set(a, b, w);
+        }
+        Edit::Remove { edge } => {
+            let (a, b) = edges[edge % edges.len()];
+            set(a, b, INFINITY);
+        }
+        Edit::Sever { edge } => {
+            let pivot = edges[edge % edges.len()].0;
+            let bridges = |&(a, b): &(NodeId, NodeId)| a.index() < n1 && b.index() >= n1;
+            let cut: Vec<_> = if edges.iter().any(bridges) {
+                edges.iter().copied().filter(bridges).collect()
+            } else {
+                let at_pivot = |&(a, b): &(NodeId, NodeId)| a == pivot || b == pivot;
+                edges.iter().copied().filter(at_pivot).collect()
+            };
+            for (a, b) in cut {
+                set(a, b, INFINITY);
+            }
+        }
+    }
+}
+
+/// Nodes whose upward arcs `(to, weight)` differ between two hierarchies
+/// of one order.
+fn arc_differences(a: &ContractionHierarchy, b: &ContractionHierarchy) -> usize {
+    let arcs = |ch: &ContractionHierarchy, v| {
+        let mut arcs: Vec<_> = ch.up_arcs_of(v).iter().map(|a| (a.to, a.weight)).collect();
+        arcs.sort_unstable();
+        arcs
+    };
+    a.order()
+        .iter()
+        .filter(|&&v| arcs(a, v) != arcs(b, v))
+        .count()
+}
+
+/// The all-dirty replay: a hierarchy that went through a snapshot carries
+/// no contraction record, so its repair re-contracts every node.
+fn without_record(ch: &ContractionHierarchy) -> ContractionHierarchy {
+    let mut bytes = Vec::new();
+    write_hierarchy(ch, &mut bytes).expect("write to memory");
+    read_hierarchy(&bytes[..]).expect("round trip")
+}
+
+/// One repair step checked against every oracle: the repaired hierarchy
+/// keeps `ch`'s order and answers `p2p` like Dijkstra from each of
+/// `sources`; the repaired labels equal `HubLabels::build` of it and the
+/// pruned-landmark labelling of `net` in that order. Returns the pair and
+/// the number of nodes the hierarchy repair re-contracted.
+fn check_repair(
+    net: &RoadNetwork,
+    ch: &ContractionHierarchy,
+    hl: &HubLabels,
+    log: &[(NodeId, NodeId, Dist)],
+    sources: impl Iterator<Item = NodeId>,
+) -> Result<(ContractionHierarchy, HubLabels, usize), String> {
+    let (new_ch, recontracted) = ch.repaired(net, log);
+    if new_ch.order() != ch.order() {
+        return Err("the repair changed the contraction order".into());
+    }
+    let mut ws = ChWorkspace::new();
+    for s in sources {
+        let tree = sssp(net, s);
+        for t in net.nodes() {
+            let (got, want) = (new_ch.p2p(s, t, &mut ws), tree.dist[t.index()]);
+            if got != want {
+                return Err(format!("repaired p2p({s}, {t}) = {got}, dijkstra {want}"));
+            }
+        }
+    }
+    let (new_hl, work) = hl.repaired(ch, &new_ch);
+    if new_hl != HubLabels::build(&new_ch) {
+        return Err(format!("repaired labels differ from a build after {log:?}"));
+    }
+    check_labels_match_pruned_landmarks(net, &new_ch, &new_hl)?;
+    let n = net.num_nodes();
+    if !(work.changed <= work.rebuilt && work.rebuilt <= n && recontracted <= n) {
+        return Err(format!(
+            "work counts out of range: {recontracted}, {work:?}"
+        ));
+    }
+    Ok((new_ch, new_hl, recontracted))
+}
+
+#[test]
+fn repairs_match_rebuilds_on_a_planar_network() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    let base = dsi_graph::generate::random_planar(
+        &dsi_graph::generate::PlanarConfig {
+            num_nodes: 1_500,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    let n = base.num_nodes();
+    for cfg in witness_caps() {
+        let mut net = base.clone();
+        let mut ch = ContractionHierarchy::build(&net, &cfg);
+        let mut hl = HubLabels::build(&ch);
+        for step in 0..8 {
+            // Six edits a step: re-weightings, a removal, and from step 4
+            // on the re-insertion of what step - 4 removed.
+            let mut log = Vec::new();
+            for i in 0..6 {
+                let edit = match i {
+                    0 => Edit::Remove { edge: step * 97 },
+                    1 if step >= 4 => Edit::Set {
+                        edge: (step - 4) * 97,
+                        w: 2,
+                    },
+                    _ => Edit::Set {
+                        edge: rng.gen_range(0..4 * n),
+                        w: rng.gen_range(1..=40),
+                    },
+                };
+                apply_edit(&mut net, n, edit, &mut log);
+            }
+            let sources = (0..n as u32).step_by(301).map(NodeId);
+            let (new_ch, new_hl, recontracted) =
+                check_repair(&net, &ch, &hl, &log, sources).unwrap();
+
+            // The all-dirty replay runs under the default cap whatever
+            // `cfg` says, so its arcs may be another hierarchy of the same
+            // order; the labels are canonical for order and metric.
+            let (replayed, all) = without_record(&ch).repaired(&net, &[]);
+            assert_eq!(all, n);
+            assert_eq!(replayed.order(), ch.order());
+            assert_eq!(HubLabels::build(&replayed), new_hl);
+            // Reported, not asserted: the reuse rule promises a hierarchy,
+            // not the one a full replay finds (a truncated search may break
+            // a tie differently).
+            if cfg.witness_cap == ChConfig::default().witness_cap {
+                eprintln!(
+                    "step {step}: {recontracted} of {n} nodes recontracted, upward arcs differ \
+                     from the all-dirty replay at {} nodes",
+                    arc_differences(&new_ch, &replayed),
+                );
+            }
+            (ch, hl) = (new_ch, new_hl);
+        }
+    }
 }
 
 #[test]
@@ -144,6 +347,37 @@ proptest! {
         for cfg in witness_caps() {
             prop_assert_eq!(check_build_matches_pruned_landmarks(&net, &cfg), Ok(()));
             prop_assert_eq!(check_build_matches_pruned_landmarks(&wide, &cfg), Ok(()));
+        }
+    }
+
+    /// Repaired ≡ rebuilt after every step of a chain of at least six, on
+    /// tie-heavy and wide-weight networks at every witness cap: increases,
+    /// decreases, removals (some disconnecting), re-insertions. One step in
+    /// four applies two edits before repairing, as a writer that fell
+    /// behind would — the same edge may then be logged twice.
+    #[test]
+    fn repaired_equals_rebuilt_through_edit_chains(
+        (tight, tight_n1) in arb_clusters(3),
+        (wide, wide_n1) in arb_clusters(40),
+        tight_steps in proptest::collection::vec((arb_edit(3), arb_edit(3), 0u8..4), 6..10),
+        wide_steps in proptest::collection::vec((arb_edit(40), arb_edit(40), 0u8..4), 6..10),
+    ) {
+        for cfg in witness_caps() {
+            for (net, n1, steps) in [(&tight, tight_n1, &tight_steps), (&wide, wide_n1, &wide_steps)] {
+                let mut net = net.clone();
+                let mut ch = ContractionHierarchy::build(&net, &cfg);
+                let mut hl = HubLabels::build(&ch);
+                for &(edit, second, both) in steps {
+                    let mut log = Vec::new();
+                    apply_edit(&mut net, n1, edit, &mut log);
+                    if both == 0 {
+                        apply_edit(&mut net, n1, second, &mut log);
+                    }
+                    let checked = check_repair(&net, &ch, &hl, &log, net.nodes());
+                    prop_assert!(checked.is_ok(), "cap {}: {}", cfg.witness_cap, checked.unwrap_err());
+                    (ch, hl, _) = checked.unwrap();
+                }
+            }
         }
     }
 

@@ -26,18 +26,26 @@
 //! [`QueryService::apply_updates`] now takes `&self`: it journals the
 //! updates, patches a *canonical* mutable copy of the state (held apart
 //! from any epoch, under the maintenance mutex), then constructs the next
-//! epoch off to the side — clone-and-patch for the signature index,
-//! wholesale contraction-hierarchy and partition rebuilds — **with the
-//! maintenance lock dropped**, so further update batches keep landing while
-//! the shadow epoch builds. A bounded catch-up loop re-checks for updates
-//! that arrived during the build (retry with backoff, then cede to the
-//! fresher writer), and the finished epoch is published with an atomic swap
-//! (`Arc` flip + epoch bump). Readers never block on maintenance; at worst
-//! they keep answering from the previous epoch — the PR 3 degradation
-//! discipline, now applied to staleness: every answer is element-wise equal
-//! to *some* single serialized order of update batches. Every publish
+//! epoch off to the side — clone-and-patch for the signature index, a
+//! *repair* of the hierarchy and hub labels the last epoch shipped
+//! ([`ContractionHierarchy::repaired`], [`HubLabels::repaired`]: the order
+//! is kept, only what the logged re-weightings could have changed is
+//! redone), a wholesale partition rebuild — **with the maintenance lock
+//! dropped**, so further update batches keep landing while the shadow epoch
+//! builds. The canonical state remembers which oracle is current and every
+//! re-weighting acknowledged since, so a builder that snapshotted behind a
+//! racing writer repairs from its own snapshot and the writer that swaps
+//! its epoch in installs its oracle as the next base. A bounded catch-up
+//! loop re-checks for updates that arrived during the build (retry with
+//! backoff, then cede to the fresher writer), and the finished epoch is
+//! published with an atomic swap (`Arc` flip + epoch bump). Readers never
+//! block on maintenance; at worst they keep answering from the previous
+//! epoch — the PR 3 degradation discipline, now applied to staleness: every
+//! answer is element-wise equal to *some* single serialized order of update
+//! batches. Every publish
 //! leaves a [`PublishProfile`] behind — the wall time of its maintain /
-//! hierarchy / labels / partitions / pages+swap phases — readable through
+//! hierarchy / labels / partitions / pages+swap phases and how many nodes
+//! were re-contracted and re-labelled — readable through
 //! [`QueryService::last_publish_profile`] and printed by
 //! [`QueryService::stats_dump`].
 //!
@@ -390,15 +398,15 @@ impl Drop for EpochPages {
 /// `ObjectSet` ids are dense and the buckets are built over
 /// `host_nodes()` in id order, so a bucket rank *is* an object id.
 struct ObjectLabels {
-    hl: HubLabels,
+    /// Shared with [`MaintState::oracle`], which the next publish repairs.
+    hl: Arc<HubLabels>,
     buckets: LabelBuckets,
 }
 
 impl ObjectLabels {
-    /// Extract labels from the epoch's hierarchy and bucket the object
-    /// hosts — once per epoch, on every path that builds one.
-    fn build(ch: &ContractionHierarchy, objects: &ObjectSet) -> ObjectLabels {
-        let hl = HubLabels::build(ch);
+    /// Bucket the object hosts over the epoch's labels — once per epoch, on
+    /// every path that builds one.
+    fn over(hl: Arc<HubLabels>, objects: &ObjectSet) -> ObjectLabels {
         let buckets = hl.buckets(objects.host_nodes());
         ObjectLabels { hl, buckets }
     }
@@ -485,7 +493,7 @@ impl EpochIndex {
     /// The hub labels extracted from the hierarchy, when
     /// [`ServiceConfig::hierarchy`] is on.
     pub fn hub_labels(&self) -> Option<&HubLabels> {
-        self.hl.as_ref().map(|labels| &labels.hl)
+        self.hl.as_ref().map(|labels| &*labels.hl)
     }
 
     /// Partitions the sharded backend routes across (1 for a single index).
@@ -575,8 +583,24 @@ struct MaintState {
     /// attached.
     wal: Option<UpdateJournal>,
     log_dir: Option<PathBuf>,
+    /// The distance oracle of the last epoch swapped in (`None` with the
+    /// hierarchy off): what the next publish repairs instead of rebuilding.
+    oracle: Option<Oracle>,
+    /// Every edge re-weighting acknowledged since `oracle` was current, as
+    /// `(a, b, weight before)`, oldest first — what separates the network
+    /// `oracle` answers for from `net`. A publish swaps at `seq` exactly, so
+    /// installing its oracle empties the log.
+    reweighted: Vec<(NodeId, NodeId, Dist)>,
     /// Phase timings of the last publish that swapped an epoch in.
     last_publish: PublishProfile,
+}
+
+/// A hierarchy and the hub labels built over it; the `Arc`s are the ones
+/// the epoch that shipped them serves from.
+#[derive(Clone)]
+struct Oracle {
+    ch: Arc<ContractionHierarchy>,
+    hl: Arc<HubLabels>,
 }
 
 /// Where the wall time of one publish ([`QueryService::try_apply_updates`])
@@ -589,15 +613,22 @@ pub struct PublishProfile {
     /// spanning-forest repair and signature re-encoding, every edge of the
     /// batch.
     pub maintain: Duration,
-    /// Contraction-hierarchy rebuild (zero with the hierarchy off).
+    /// Contraction-hierarchy repair (zero with the hierarchy off).
     pub hierarchy: Duration,
-    /// Hub labels over that hierarchy plus the object buckets.
+    /// Hub-label repair over that hierarchy plus the object buckets.
     pub labels: Duration,
     /// Partitioned-index rebuild (zero unless sharded).
     pub partitions: Duration,
     /// Everything else: the canonical-state snapshot the build works from,
     /// the crash-safe publish protocol's files, the page image, the swap.
     pub pages_swap: Duration,
+    /// Nodes the hierarchy repair contracted afresh (the rest replayed
+    /// their recorded step).
+    pub ch_recontracted: usize,
+    /// Labels the label repair ran through the builder again.
+    pub labels_rebuilt: usize,
+    /// Of those, the labels that came out different.
+    pub labels_changed: usize,
 }
 
 impl PublishProfile {
@@ -612,13 +643,17 @@ impl std::fmt::Display for PublishProfile {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         write!(
             f,
-            "{:.1} ms: maintain {:.1}, hierarchy {:.1}, labels {:.1}, partitions {:.1}, pages+swap {:.1}",
+            "{:.1} ms: maintain {:.1}, hierarchy {:.1}, labels {:.1}, partitions {:.1}, pages+swap {:.1}; \
+             {} nodes recontracted, {} labels rebuilt ({} changed)",
             ms(self.total()),
             ms(self.maintain),
             ms(self.hierarchy),
             ms(self.labels),
             ms(self.partitions),
-            ms(self.pages_swap)
+            ms(self.pages_swap),
+            self.ch_recontracted,
+            self.labels_rebuilt,
+            self.labels_changed
         )
     }
 }
@@ -636,6 +671,9 @@ struct ShadowState {
     seq: u64,
     net: Arc<RoadNetwork>,
     index: Arc<SignatureIndex>,
+    /// The oracle to repair and the re-weightings that outdated it.
+    oracle: Option<Oracle>,
+    reweighted: Vec<(NodeId, NodeId, Dist)>,
 }
 
 impl ShadowState {
@@ -644,6 +682,8 @@ impl ShadowState {
             seq: m.seq,
             net: Arc::new(m.net.clone()),
             index: Arc::new(m.index.clone()),
+            oracle: m.oracle.clone(),
+            reweighted: m.reweighted.clone(),
         }
     }
 }
@@ -686,7 +726,6 @@ pub struct QueryService {
     fault_plan: FaultPlan,
     retry_budget: u32,
     entry_decode: EntryDecodeMode,
-    hierarchy_on: bool,
     partitions: usize,
     store: StoreMode,
     readahead: u32,
@@ -788,10 +827,16 @@ impl QueryService {
         let net_arc = Arc::new(net.clone());
         let index_arc = Arc::new(index.clone());
         let pages = EpochPages::materialize(cfg.store, epoch, &net, &index, parted.as_ref());
-        let ch = ch.map(Arc::new);
         // The labels ride on the hierarchy: one extraction pass here backs
         // the hub-label backend and tops the degraded-fallback ladder.
-        let hl = ch.as_deref().map(|ch| ObjectLabels::build(ch, &objects));
+        let oracle = ch.map(|ch| Oracle {
+            hl: Arc::new(HubLabels::build(&ch)),
+            ch: Arc::new(ch),
+        });
+        let ch = oracle.as_ref().map(|o| o.ch.clone());
+        let hl = oracle
+            .as_ref()
+            .map(|o| ObjectLabels::over(o.hl.clone(), &objects));
         let epoch0 = Arc::new(EpochIndex {
             epoch,
             net: net_arc,
@@ -818,6 +863,8 @@ impl QueryService {
                 published_seq: 0,
                 wal: None,
                 log_dir: None,
+                oracle,
+                reweighted: Vec::new(),
                 last_publish: PublishProfile::default(),
             }),
             sig,
@@ -826,7 +873,6 @@ impl QueryService {
             fault_plan: cfg.fault_plan,
             retry_budget: cfg.retry_budget,
             entry_decode: cfg.entry_decode,
-            hierarchy_on: cfg.hierarchy,
             partitions: cfg.partitions,
             store: cfg.store,
             readahead: cfg.readahead,
@@ -1153,7 +1199,7 @@ impl QueryService {
         q: &Query,
         sc: &mut Scratch,
     ) -> QueryOutput {
-        let ObjectLabels { hl, buckets } = labels;
+        let (hl, buckets): (&HubLabels, _) = (&labels.hl, &labels.buckets);
         let mut lookups = 0u64;
         let mut scanned = 0u64;
         // Every object within `eps` of `node`, id-ascending, by one label
@@ -1445,11 +1491,13 @@ impl QueryService {
     /// 1. **Acknowledge** (brief maintenance lock): journal the updates,
     ///    patch the canonical mutable state incrementally, snapshot it.
     ///    A journal failure aborts here — the canonical state is left
-    ///    untouched and the service keeps serving its pre-update epochs.
+    ///    untouched and the service keeps serving its pre-update epochs —
+    ///    and so does a batch naming an edge the network does not have
+    ///    (`ErrorKind::InvalidInput`, checked before anything is journaled).
     /// 2. **Build** (no locks): construct the shadow epoch from the
-    ///    snapshot — wholesale contraction-hierarchy and partition rebuilds
-    ///    — while readers keep serving the live epoch and further update
-    ///    batches keep acknowledging.
+    ///    snapshot — hierarchy and label repair, wholesale partition
+    ///    rebuild — while readers keep serving the live epoch and further
+    ///    update batches keep acknowledging.
     /// 3. **Publish** (bounded catch-up): if newer batches landed
     ///    mid-build, re-snapshot and rebuild (with backoff) up to
     ///    [`CATCHUP_ROUNDS`]; then run the crash-safe publish protocol and
@@ -1469,6 +1517,17 @@ impl QueryService {
         let (reports, shadow) = {
             let mut m = self.maint.lock().expect("maint lock");
             let t = Instant::now();
+            // Nothing is journaled or patched unless the whole batch names
+            // edges of the network: a record that cannot be applied would
+            // fail again on every replay.
+            if let Some(&(a, b, _)) = updates.iter().find(|&&(a, b, _)| {
+                a.index() >= m.net.num_nodes() || m.net.edge_weight(a, b).is_none()
+            }) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("update of edge ({a}, {b}): the nodes are not adjacent"),
+                ));
+            }
             if let Some(wal) = m.wal.as_mut() {
                 wal.append(updates)?;
             }
@@ -1476,8 +1535,17 @@ impl QueryService {
                 .iter()
                 .map(|&(a, b, w)| {
                     let MaintState {
-                        net, index, maint, ..
+                        net,
+                        index,
+                        maint,
+                        oracle,
+                        reweighted,
+                        ..
                     } = &mut *m;
+                    if oracle.is_some() {
+                        let was = net.edge_weight(a, b).expect("batch validated above");
+                        reweighted.push((a, b, was));
+                    }
                     maint.update_edge(net, index, a, b, w)
                 })
                 .collect();
@@ -1494,26 +1562,31 @@ impl QueryService {
     /// catch up if update batches landed mid-build, publish atomically.
     /// `profile` arrives holding the time phase 1 took and leaves in
     /// `MaintState::last_publish` when this call swaps an epoch in
-    /// (rebuild phases accumulate over catch-up rounds).
+    /// (build phases and work counts accumulate over catch-up rounds).
     fn build_and_publish(
         &self,
         mut shadow: ShadowState,
         mut profile: PublishProfile,
     ) -> io::Result<()> {
         for round in 0..CATCHUP_ROUNDS {
-            // Expensive rebuilds happen with no lock held: readers serve the
+            // The expensive work happens with no lock held: readers serve the
             // live epoch, writers acknowledge into the canonical state.
-            let ch = self.hierarchy_on.then(|| {
-                timed(&mut profile.hierarchy, || {
-                    Arc::new(ContractionHierarchy::build(
-                        &shadow.net,
-                        &ChConfig::default(),
-                    ))
-                })
+            let oracle = shadow.oracle.as_ref().map(|was| {
+                let (ch, recontracted) = timed(&mut profile.hierarchy, || {
+                    was.ch.repaired(&shadow.net, &shadow.reweighted)
+                });
+                let (hl, work) = timed(&mut profile.labels, || was.hl.repaired(&was.ch, &ch));
+                profile.ch_recontracted += recontracted;
+                profile.labels_rebuilt += work.rebuilt;
+                profile.labels_changed += work.changed;
+                Oracle {
+                    ch: Arc::new(ch),
+                    hl: Arc::new(hl),
+                }
             });
-            let hl = ch.as_deref().map(|ch| {
+            let hl = oracle.as_ref().map(|o| {
                 timed(&mut profile.labels, || {
-                    ObjectLabels::build(ch, &self.objects)
+                    ObjectLabels::over(o.hl.clone(), &self.objects)
                 })
             });
             let parted = (self.partitions > 1).then(|| {
@@ -1570,7 +1643,7 @@ impl QueryService {
                 net: shadow.net,
                 objects: self.objects.clone(),
                 index: shadow.index,
-                ch,
+                ch: oracle.as_ref().map(|o| o.ch.clone()),
                 hl,
                 parted,
                 shards: Striped::new(self.num_shards, |_| Shard {
@@ -1582,6 +1655,10 @@ impl QueryService {
             *self.live.write().expect("live epoch lock") = ep;
             self.live_epoch.store(next_epoch, Ordering::Release);
             self.epoch_swaps.fetch_add(1, Ordering::Release);
+            // The canonical state is at `shadow.seq` (checked above), so the
+            // log holds nothing this oracle has not absorbed.
+            m.oracle = oracle;
+            m.reweighted.clear();
             profile.pages_swap += locked.elapsed();
             m.last_publish = profile;
             // A protocol I/O failure (not a kill point) still swaps: the

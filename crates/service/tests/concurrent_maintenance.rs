@@ -248,6 +248,66 @@ fn concurrent_writers_serialize_and_readers_stay_consistent() {
     assert_eq!(service.epoch(), swaps);
 }
 
+/// Two writers released together, round after round, so that one
+/// acknowledges while the other builds and catch-up rounds happen: every
+/// publish repairs the oracle of whatever epoch was live when its writer
+/// snapshotted, from that writer's own log of re-weightings. Whoever wins,
+/// the labels an epoch ships are the labels of the hierarchy it ships, and
+/// both answer for the network it ships.
+#[test]
+fn racing_writers_ship_labels_that_match_their_hierarchy() {
+    let service = build_service(1);
+    let batch = query_batch(&service);
+    let net = service.net();
+    let hosts: Vec<NodeId> = service.objects().iter().map(|(_, h)| h).collect();
+    // Writer `w` re-weights the first edge of every other host, to a weight
+    // that moves with the round: both writers hit overlapping regions and
+    // the same edge is logged again and again.
+    let edges_of = |w: usize| -> Vec<(NodeId, NodeId)> {
+        let firsts = hosts.iter().skip(w).step_by(2);
+        firsts
+            .filter_map(|&h| net.neighbors(h).next().map(|(_, b, _)| (h, b)))
+            .collect()
+    };
+    let gate = std::sync::Barrier::new(2);
+    let mut rounds = 0u32;
+    while rounds < 4 || (service.catchup_counts().0 == 0 && rounds < 60) {
+        std::thread::scope(|scope| {
+            for w in 0..2 {
+                let (service, gate, edges) = (&service, &gate, edges_of(w));
+                scope.spawn(move || {
+                    let ups: Vec<EdgeUpdate> = edges
+                        .iter()
+                        .map(|&(a, b)| (a, b, 1 + (rounds * 37 + w as u32 * 11 + a.0) % 300))
+                        .collect();
+                    gate.wait();
+                    service.apply_updates(&ups);
+                });
+            }
+        });
+        rounds += 1;
+    }
+    let (retries, cedes) = service.catchup_counts();
+    eprintln!("{rounds} rounds, {retries} catch-up retries, {cedes} cedes");
+
+    let ep = service.snapshot();
+    let (ch, hl) = (ep.hierarchy().unwrap(), ep.hub_labels().unwrap());
+    assert!(
+        *hl == dsi_hierarchy::HubLabels::build(ch),
+        "the live labels are not those of the live hierarchy"
+    );
+    assert_eq!(
+        service.serve_batch_on(Backend::HubLabel, &batch, 2).outputs,
+        service.serve_batch_on(Backend::Dijkstra, &batch, 2).outputs
+    );
+    assert_eq!(
+        service
+            .serve_batch_on(Backend::Hierarchy, &batch, 2)
+            .outputs,
+        service.serve_batch_on(Backend::Dijkstra, &batch, 2).outputs
+    );
+}
+
 /// `snapshot_partitions` writes the pinned live epoch's `DSPX` snapshot —
 /// taken *while* maintenance publishes epochs it must still be internally
 /// consistent (one epoch, never a blend), and taken after quiescence it

@@ -14,13 +14,14 @@ use std::path::{Path, PathBuf};
 use dsi_graph::generate::{random_planar, PlanarConfig};
 use dsi_graph::io::{load_network, read_objects};
 use dsi_graph::{NodeId, ObjectSet};
+use dsi_hierarchy::HubLabels;
 use dsi_service::journal::{
     decode_journal, decode_records, read_checkpoint, BASE_NET_FILE, BASE_OBJ_FILE, CHECKPOINT_FILE,
     JOURNAL_FILE, RECORD_LEN,
 };
 use dsi_service::{
-    generate, EdgeUpdate, JournalRecord, PublishKillPoint, Query, QueryService, ServiceConfig,
-    Skew, WorkloadConfig,
+    generate, Backend, EdgeUpdate, JournalRecord, PublishKillPoint, Query, QueryService,
+    ServiceConfig, Skew, WorkloadConfig,
 };
 use dsi_signature::{SignatureConfig, SignatureIndex};
 use rand::rngs::StdRng;
@@ -109,8 +110,34 @@ fn reference_for(dir: &Path, journal_bytes: &[u8]) -> QueryService {
     let objects = read_objects(fs::File::open(dir.join(BASE_OBJ_FILE)).unwrap(), &net).unwrap();
     let index = SignatureIndex::build(&net, &objects, &SignatureConfig::default());
     let svc = QueryService::from_parts(net, objects, index, &service_cfg());
-    svc.apply_updates(&decode_journal(journal_bytes));
+    let updates = decode_journal(journal_bytes);
+    svc.apply_updates(&updates);
+    if !updates.is_empty() {
+        assert_oracle_matches_epoch(&svc, "first publish after from_parts");
+    }
     svc
+}
+
+/// The live epoch's labels are the labels of the hierarchy it ships, and
+/// that hierarchy answers for the network it ships — what a publish that
+/// repairs (rather than rebuilds) its oracle must still guarantee.
+fn assert_oracle_matches_epoch(svc: &QueryService, ctx: &str) {
+    let ep = svc.snapshot();
+    let (ch, hl) = (ep.hierarchy().unwrap(), ep.hub_labels().unwrap());
+    assert!(*hl == HubLabels::build(ch), "{ctx}: labels vs hierarchy");
+    let sweep = generate(
+        &svc.net(),
+        &WorkloadConfig {
+            count: 60,
+            seed: 99,
+            ..Default::default()
+        },
+    );
+    let truth = svc.serve_batch_on(Backend::Dijkstra, &sweep, 2).outputs;
+    for backend in [Backend::HubLabel, Backend::Hierarchy] {
+        let got = svc.serve_batch_on(backend, &sweep, 2).outputs;
+        assert_eq!(got, truth, "{ctx}: {} vs dijkstra", backend.label());
+    }
 }
 
 /// Both services must answer the whole sweep identically: same index
@@ -291,6 +318,7 @@ fn recovered_service_keeps_journaling_and_survives_a_second_crash() {
         recovered.journal_len(),
         Some(before + 3 + PUBLISH_MARKERS as u64)
     );
+    assert_oracle_matches_epoch(&recovered, "first publish after recover");
     drop(recovered);
 
     // ...and a second crash-recovery sees old + new history seamlessly.
@@ -305,6 +333,62 @@ fn recovered_service_keeps_journaling_and_survives_a_second_crash() {
         &batch,
         "second recovery",
     );
+}
+
+/// A batch naming a pair of nodes that share no edge (or a node the network
+/// does not have) is refused whole, before the journal sees it: no record a
+/// replay would choke on, no patch, no epoch, no poisoned maintenance lock —
+/// the next good batch publishes and the log recovers.
+#[test]
+fn a_bad_batch_is_refused_whole_and_leaves_no_trace() {
+    let dir = scratch_dir("bad_batch");
+    let svc = build_base();
+    svc.attach_maintenance_log(&dir).unwrap();
+    let sweep = generate(
+        &svc.net(),
+        &WorkloadConfig {
+            count: 60,
+            seed: 7,
+            ..Default::default()
+        },
+    );
+    let before = svc.serve_batch(&sweep, 2).outputs;
+    let good = edge_updates(&svc, 4);
+    let net = svc.net();
+    let stranger = net
+        .nodes()
+        .find(|&v| v != good[0].0 && net.edge_weight(good[0].0, v).is_none())
+        .expect("some node is not a neighbour");
+    let beyond = NodeId(net.num_nodes() as u32);
+    for bad in [
+        (good[0].0, stranger, 9),
+        (beyond, good[0].0, 9),
+        (good[0].0, beyond, 9),
+    ] {
+        // The bad update sits behind good ones: none of them may land.
+        let batch = [good[0], good[1], bad];
+        let err = svc.try_apply_updates(&batch).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{bad:?}");
+        assert_eq!(svc.epoch(), 0);
+        assert_eq!(svc.journal_len(), Some(0));
+        assert_eq!(svc.serve_batch(&sweep, 2).outputs, before, "{bad:?}");
+    }
+
+    svc.try_apply_updates(&good).unwrap();
+    assert_eq!(svc.epoch(), 1);
+    assert_eq!(
+        svc.journal_len(),
+        Some((good.len() + PUBLISH_MARKERS) as u64)
+    );
+    assert_oracle_matches_epoch(&svc, "good batch after refused ones");
+    let after = svc.serve_batch(&sweep, 2).outputs;
+    drop(svc);
+    let (recovered, report) =
+        QueryService::recover(&dir, &SignatureConfig::default(), &service_cfg()).unwrap();
+    assert_eq!(report.journal_records, good.len() as u64);
+    assert_eq!(recovered.serve_batch(&sweep, 2).outputs, after);
+    drop(recovered);
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

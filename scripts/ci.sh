@@ -19,27 +19,15 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 echo "== cargo test --release (the optimised kernels are the ones under test) =="
-# Forest repair, label construction and the signature codec once more as
-# the benchmark and the service run them: release arithmetic, debug
-# assertions compiled out.
+# Forest repair, hierarchy and label construction *and repair* (the
+# repaired == rebuilt properties of crates/hierarchy/tests/proptest_labels.rs,
+# run in debug by the step above) and the signature codec once more as the
+# benchmark and a publish run them: release arithmetic, debug assertions
+# compiled out.
 cargo test --release -q -p dsi-graph -p dsi-hierarchy -p dsi-signature
 
 echo "== cargo bench --no-run (benches must keep compiling) =="
 cargo bench --workspace --no-run
-
-echo "== perfbench --smoke (every workload differentially checked end to end) =="
-# The benchmark's own smoke cell: all four workloads, traced and untraced,
-# on a 2,000-node network through the real QueryService, with every
-# verification on — each backend (the hub-label bucket scans included)
-# against Backend::Dijkstra on the same epoch and against the harness's
-# brute force. A non-zero exit or any result line without "correct":true
-# fails the gate.
-smoke_out="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --smoke)"
-if grep -q '"correct":false' <<<"$smoke_out" || ! grep -q '"correct":true' <<<"$smoke_out"; then
-    echo "perfbench --smoke reported an incorrect run:"
-    grep '"correct"' <<<"$smoke_out" | cut -c1-200
-    exit 1
-fi
 
 echo "== fault matrix (service equivalence under injected storage faults) =="
 # Re-run the dsi-service fault suite under a matrix of fixed fault seeds
@@ -147,5 +135,20 @@ for seed in 1 2; do
     DSI_MAINT=double-buffer DSI_FAULT_SEED=$seed \
         cargo test -q -p dsi-service --test recovery publish_kill_points
 done
+
+echo "== perfbench --smoke (every workload differentially checked end to end) =="
+# Last, the benchmark's own smoke cell: all four workloads, traced and
+# untraced, on a 2,000-node network through the real QueryService, whose
+# publishes repair the hierarchy and the labels, with every verification
+# on — each backend (the hub-label bucket scans included) against
+# Backend::Dijkstra on the same epoch and against the harness's brute
+# force. A non-zero exit or any result line without "correct":true fails
+# the gate.
+smoke_out="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --smoke)"
+if grep -q '"correct":false' <<<"$smoke_out" || ! grep -q '"correct":true' <<<"$smoke_out"; then
+    echo "perfbench --smoke reported an incorrect run:"
+    grep '"correct"' <<<"$smoke_out" | cut -c1-200
+    exit 1
+fi
 
 echo "ci: all checks passed"

@@ -4,7 +4,9 @@
 //! epoch, and the spanning-forest work its reports count must stay within a
 //! degree factor of the nodes the repair actually reset — exact counts, so
 //! the guard is host-independent: an `O(n)` pass creeping back into the
-//! repair breaks the inequality on any machine.
+//! repair breaks the inequality on any machine. The same goes for the
+//! distance oracle: the publish re-contracts and re-labels a bounded share
+//! of the nodes, and a batch that changes no weight none at all.
 
 use std::time::Instant;
 
@@ -77,6 +79,16 @@ fn publish_work_is_bounded_by_damage_and_answers_stay_exact() {
     assert!(profile.labels > Default::default());
     assert_eq!(profile.partitions, Default::default(), "not sharded");
     assert!(profile.total() <= wall);
+    // The hierarchy and its labels are repaired, not rebuilt: the batch
+    // dirties some witness searches, far from all of them.
+    let n = net.num_nodes();
+    assert!(
+        0 < profile.ch_recontracted && profile.ch_recontracted <= n / 2,
+        "{} of {n} nodes recontracted",
+        profile.ch_recontracted
+    );
+    assert!(profile.labels_changed <= profile.labels_rebuilt);
+    assert!(profile.labels_rebuilt <= n);
 
     let batch = generate(
         &service.net(),
@@ -115,4 +127,25 @@ fn publish_work_is_bounded_by_damage_and_answers_stay_exact() {
             (s, d) => assert_eq!(s, d, "{ctx}"),
         }
     }
+
+    // A batch that re-sets an edge to the weight it has still publishes,
+    // and the oracle repair does no work at all.
+    let net = service.net();
+    let (a, b, w) = net
+        .nodes()
+        .find_map(|a| net.neighbors(a).next().map(|(_, b, w)| (a, b, w)))
+        .expect("the network has an edge");
+    service
+        .try_apply_updates(&[(a, b, w)])
+        .expect("no maintenance log attached, nothing to fail");
+    assert_eq!(service.epoch(), 2);
+    let profile = service.last_publish_profile();
+    assert_eq!(
+        (
+            profile.ch_recontracted,
+            profile.labels_rebuilt,
+            profile.labels_changed
+        ),
+        (0, 0, 0)
+    );
 }
