@@ -62,14 +62,7 @@ impl PartitionedIndex {
         eps: Dist,
     ) -> OpResult<RangeAggregate> {
         let within = self.within_local(sess, part, self.local_node(q), eps)?;
-        let mut agg = RangeAggregate::default();
-        for (_, d) in within {
-            agg.count += 1;
-            agg.sum += d as u64;
-            agg.min = Some(agg.min.map_or(d, |m| m.min(d)));
-            agg.max = Some(agg.max.map_or(d, |m| m.max(d)));
-        }
-        Ok(agg)
+        Ok(within.into_iter().map(|(_, d)| d).collect())
     }
 
     /// The k nearest objects by `(distance, object id)` with exact

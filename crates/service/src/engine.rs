@@ -71,43 +71,37 @@
 //!
 //! # Backends
 //!
-//! The default backend executes on the signature index. The
-//! [`Backend::Dijkstra`] backend answers the same queries by incremental
-//! network expansion (the paper's INE baseline) with one reusable
-//! [`SsspWorkspace`] per worker — no paging, no shared state — used for
-//! cross-checking results and as a CPU-cost yardstick. The
-//! [`Backend::Hierarchy`] backend answers them on the epoch's prebuilt
-//! contraction hierarchy — each distance is one bidirectional upward
-//! search in a per-worker [`ChWorkspace`] — an exact, memory-resident
-//! oracle whose search space is a small fraction of the network. The
-//! [`Backend::HubLabel`] backend does no graph search at all: hub labels
-//! extracted from that hierarchy answer a distance with one sorted merge
-//! of two short label arrays, and every epoch also inverts its object
-//! hosts' labels once into distance-sorted buckets ([`LabelBuckets`]) so
-//! that one bounded scan ([`HubLabels::scan_within`]) — the source's own
-//! label, then for each of its hubs within the bound the prefix of that
-//! hub's bucket that can still meet it — finds the nearby objects without
-//! looking at the rest. kNN scans at an upper bound on the k-th distance
-//! read off the bucket heads ([`HubLabels::knn`]) and the self ε-join runs
-//! one ε-bounded scan per source object, so both cost what the
-//! neighbourhood holds, not `|objects|`; range and aggregate still merge
-//! the query node's label against every object's (see
-//! `QueryService::execute_hub_label`). All four return element-wise
-//! identical results.
+//! The default backend executes on the signature index; [`Backend::Sharded`]
+//! routes the same queries across K partitioned signature indexes. The three
+//! in-memory backends answer them on exact distance oracles the epoch always
+//! holds, through one operator set (`exec.rs`): [`Backend::Dijkstra`] by
+//! incremental network expansion (the paper's INE baseline) in a
+//! per-worker [`dsi_graph::SsspWorkspace`], [`Backend::Hierarchy`] by
+//! bidirectional upward searches over the epoch's contraction hierarchy,
+//! and [`Backend::HubLabel`] with no
+//! graph search at all — hub labels extracted from that hierarchy plus the
+//! object hosts' labels inverted once per epoch into distance-sorted buckets
+//! ([`LabelBuckets`]), so kNN is one bounded scan ([`HubLabels::knn`]) and
+//! every self-join row one ε-bounded scan ([`HubLabels::scan_within`]);
+//! range and aggregate still merge the query node's label against every
+//! object's. All five return element-wise identical results, the two paged
+//! backends up to the choice among objects tied at the kNN cut.
 //!
 //! # Graceful degradation
 //!
-//! With a [`FaultPlan`] in the [`ServiceConfig`], every shard's buffer pool
-//! injects deterministic read failures and corruptions on physical reads.
-//! A failed query attempt is retried (with bounded backoff) up to the
-//! configured retry budget; a query that exhausts its budget falls back to
-//! an exact in-memory engine — the contraction hierarchy when the epoch
-//! holds one (it never touches the faulty storage layer), else the
-//! Dijkstra backend — so the answer is still exact, only the fast path was
-//! skipped — and is tagged *degraded* in the [`BatchReport`]. A
-//! shard that degrades several queries in a row is *quarantined*: its
-//! cached pages and decodes are dropped (counters survive, so batch deltas
-//! stay monotone) and it restarts with a cold working set.
+//! With a [`FaultPlan`] in the [`ServiceConfig`], every session stripe's
+//! buffer pool injects deterministic read failures and corruptions on
+//! physical reads. The single index's shards and the partitions' stripes run
+//! one fault ladder: a failed attempt is retried (with bounded backoff) up to
+//! the configured retry budget; past it the query — or, for a sharded join,
+//! that partition's rows — is answered by the one in-memory rung, the
+//! epoch's label oracle, which never touches the faulty storage layer. The
+//! answer is still exact, only the fast path was skipped, and the query is
+//! tagged *degraded* in the [`BatchReport`]. A stripe that degrades several
+//! queries in a row is *quarantined*: its cached pages and decodes are
+//! dropped (counters survive, so batch deltas stay monotone) and it restarts
+//! with a cold working set. Queries shed by admission control land on the
+//! same rung.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -116,10 +110,8 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use dsi_graph::io::{load_network, read_objects, write_network, write_objects, LoadError};
-use dsi_graph::{
-    DijkstraExpansion, Dist, NodeId, ObjectId, ObjectSet, RoadNetwork, SsspWorkspace, INFINITY,
-};
-use dsi_hierarchy::{ChConfig, ChWorkspace, ContractionHierarchy, HubLabels, LabelBuckets};
+use dsi_graph::{Dist, NodeId, ObjectId, ObjectSet, RoadNetwork};
+use dsi_hierarchy::{ChConfig, ContractionHierarchy, HubLabels, LabelBuckets};
 use dsi_partition::PartitionedIndex;
 use dsi_signature::query::aggregate::RangeAggregate;
 use dsi_signature::query::join::try_self_epsilon_join;
@@ -130,6 +122,8 @@ use dsi_signature::{
 };
 use dsi_storage::{FaultPlan, IoStats, PageFile, StoreMode, Striped, PAGE_SIZE};
 
+use crate::exec::{self, ObjectDistances, Scratch};
+
 use crate::journal::{
     read_checkpoint, write_checkpoint, EdgeUpdate, JournalRecord, UpdateJournal, BASE_NET_FILE,
     BASE_OBJ_FILE, CHECKPOINT_FILE, JOURNAL_FILE,
@@ -137,7 +131,7 @@ use crate::journal::{
 use crate::stats::{per_class_stats, BatchReport, PartStats};
 use crate::workload::{Query, QueryClass};
 
-/// Consecutive degraded queries on one shard before it is quarantined.
+/// Consecutive degraded queries on one stripe before it is quarantined.
 const QUARANTINE_STRIKES: u32 = 3;
 
 /// Rounds the shadow-epoch builder re-snapshots and rebuilds when update
@@ -156,22 +150,21 @@ pub enum Backend {
     Dijkstra,
     /// Contraction-hierarchy distance oracle: every distance is a
     /// bidirectional upward search over the epoch's prebuilt hierarchy;
-    /// per-worker workspace, memory-resident (no paging model). Requires
-    /// [`ServiceConfig::hierarchy`].
+    /// per-worker workspace, memory-resident (no paging model).
     Hierarchy,
     /// Hub-label distance oracle, no graph search: kNN and the self
     /// ε-join are bounded scans of the epoch's distance-sorted object
     /// buckets (one from the query node's label, one per source object);
     /// range and aggregate are one sorted merge of two label arrays per
-    /// object. Memory-resident, no paging model. Requires
-    /// [`ServiceConfig::hierarchy`] (labels are extracted from the epoch's
-    /// contraction hierarchy).
+    /// object. Memory-resident, no paging model; the labels are extracted
+    /// from the epoch's contraction hierarchy.
     HubLabel,
     /// The shard router over K partitioned signature indexes
     /// ([`ServiceConfig::partitions`]): each query runs its home region's
-    /// operators and expands a boundary frontier across the cut for the
-    /// remote share of the answer. With `partitions ≤ 1` this degenerates
-    /// to the plain signature path.
+    /// operators, and remote regions contribute through the boundary
+    /// overlay's hub labels and the precomputed glue rows — no remote page
+    /// is touched. With `partitions ≤ 1` this degenerates to the plain
+    /// signature path.
     Sharded,
 }
 
@@ -220,20 +213,14 @@ pub struct ServiceConfig {
     /// from the seed alone.
     pub fault_plan: FaultPlan,
     /// Times a query attempt is re-run after an injected storage fault
-    /// before the service gives up on the fast path and answers via the
-    /// exact Dijkstra fallback.
+    /// before the service gives up on the fast path and answers on the
+    /// epoch's exact label oracle.
     pub retry_budget: u32,
     /// Whether shard sessions serve point lookups through entry-granular
     /// decode ([`EntryDecodeMode::Auto`] by default). `Off` forces the
     /// pre-skip-directory full-decode path — the A/B lever for the workload
     /// driver's `--entry-decode` switch.
     pub entry_decode: EntryDecodeMode,
-    /// Whether the service builds (and maintains) a contraction hierarchy
-    /// over the network. On by default: it backs [`Backend::Hierarchy`],
-    /// accelerates signature construction (the index build receives the
-    /// prebuilt hierarchy), and is the preferred degraded-fallback engine —
-    /// memory-resident, so immune to injected storage faults.
-    pub hierarchy: bool,
     /// Horizontal partitions. With `partitions > 1` every epoch
     /// additionally holds a [`dsi_partition::PartitionedIndex`] — K
     /// per-region signature indexes constructed in parallel — and
@@ -259,9 +246,8 @@ pub struct ServiceConfig {
     /// control. When nonzero, the signature/sharded paths estimate each
     /// query's completion time (per-class EWMA + queue depth) and *shed*
     /// queries that would blow the deadline straight onto the exact
-    /// in-memory fallback (hierarchy oracle, else Dijkstra) — the answer
-    /// stays exact, only the paged fast path is skipped. `0` (the default)
-    /// admits everything.
+    /// in-memory label oracle — the answer stays exact, only the paged fast
+    /// path is skipped. `0` (the default) admits everything.
     pub deadline_us: u64,
 }
 
@@ -273,7 +259,6 @@ impl Default for ServiceConfig {
             fault_plan: FaultPlan::none(),
             retry_budget: 2,
             entry_decode: EntryDecodeMode::default(),
-            hierarchy: true,
             partitions: 1,
             store: StoreMode::Mem,
             readahead: 0,
@@ -295,19 +280,14 @@ pub enum QueryOutput {
     Join(Vec<(ObjectId, ObjectId)>),
 }
 
-/// A parked per-shard session plus its fault-handling strike counter.
-struct Shard {
+/// One session stripe — a shard of the single index or one partition's
+/// stripe: the parked session state, the strike counter of its fault
+/// ladder, and the queries it has served (reported per partition).
+#[derive(Default)]
+struct Stripe {
     state: Option<SessionState>,
-    /// Consecutive queries this shard answered via the degraded fallback;
-    /// reaching [`QUARANTINE_STRIKES`] quarantines the shard.
-    strikes: u32,
-}
-
-/// One partition's session stripe: the parked state (over that region's
-/// index), the same strike ladder a plain shard runs, and a query counter
-/// for per-partition reporting.
-struct PartShard {
-    state: Option<SessionState>,
+    /// Consecutive queries this stripe answered via the degraded fallback;
+    /// reaching [`QUARANTINE_STRIKES`] quarantines the stripe.
     strikes: u32,
     queries: u64,
 }
@@ -317,17 +297,13 @@ struct PartShard {
 /// storm (or quarantine) in one region never stalls or cools the others.
 struct PartitionedEngine {
     pidx: PartitionedIndex,
-    shards: Striped<PartShard>,
+    shards: Striped<Stripe>,
 }
 
 impl PartitionedEngine {
     fn build(net: &RoadNetwork, objects: &ObjectSet, sig: &SignatureConfig, k: usize) -> Self {
         let pidx = PartitionedIndex::build(net, objects, sig, k);
-        let shards = Striped::new(pidx.num_parts(), |_| PartShard {
-            state: None,
-            strikes: 0,
-            queries: 0,
-        });
+        let shards = Striped::new(pidx.num_parts(), |_| Stripe::default());
         PartitionedEngine { pidx, shards }
     }
 }
@@ -391,61 +367,6 @@ impl Drop for EpochPages {
     }
 }
 
-/// An epoch's label oracle: hub labels for every node plus the object
-/// hosts' labels inverted into distance-sorted buckets, so a scan runs
-/// outward from the source's own label instead of merging against every
-/// object.
-/// `ObjectSet` ids are dense and the buckets are built over
-/// `host_nodes()` in id order, so a bucket rank *is* an object id.
-struct ObjectLabels {
-    /// Shared with [`MaintState::oracle`], which the next publish repairs.
-    hl: Arc<HubLabels>,
-    buckets: LabelBuckets,
-}
-
-impl ObjectLabels {
-    /// Bucket the object hosts over the epoch's labels — once per epoch, on
-    /// every path that builds one.
-    fn over(hl: Arc<HubLabels>, objects: &ObjectSet) -> ObjectLabels {
-        let buckets = hl.buckets(objects.host_nodes());
-        ObjectLabels { hl, buckets }
-    }
-
-    /// Object `a`'s share of a self ε-join: one ε-bounded scan from its
-    /// host, keeping the partners `b > a`. Returns the entries scanned.
-    fn join_row(
-        &self,
-        objects: &ObjectSet,
-        a: ObjectId,
-        eps: Dist,
-        sc: &mut Scratch,
-        pairs: &mut Vec<(ObjectId, ObjectId)>,
-    ) -> u64 {
-        let host = objects.node_of(a);
-        let scanned = self
-            .hl
-            .scan_within(host, &self.buckets, eps, &mut sc.dense, &mut sc.hits);
-        pairs.extend(
-            sc.hits
-                .iter()
-                .filter(|&&(_, b)| b > a.0)
-                .map(|&(_, b)| (a, ObjectId(b))),
-        );
-        scanned
-    }
-}
-
-/// One worker's reusable query state, one of each kind: allocated once per
-/// worker, reset in O(touched) between queries.
-#[derive(Default)]
-struct Scratch {
-    sssp: SsspWorkspace,
-    ch: ChWorkspace,
-    /// Dense per-object fold buffer and hit list of the label scans.
-    dense: Vec<Dist>,
-    hits: Vec<(Dist, u32)>,
-}
-
 /// One immutable index generation: everything a query batch touches,
 /// published wholesale by an `Arc` swap. Batches pin an epoch for their
 /// entire run; the stripes (and the counters inside them) are per-epoch.
@@ -454,12 +375,14 @@ pub struct EpochIndex {
     net: Arc<RoadNetwork>,
     objects: Arc<ObjectSet>,
     index: Arc<SignatureIndex>,
-    ch: Option<Arc<ContractionHierarchy>>,
-    /// Hub labels extracted from `ch` and the object buckets over them —
-    /// the top rung of the in-memory ladder. Present exactly when `ch` is.
-    hl: Option<ObjectLabels>,
+    /// The hierarchy and the hub labels extracted from it: the in-memory
+    /// backends' oracles and the fault ladder's in-memory rung.
+    oracle: Oracle,
+    /// The object hosts' labels inverted into distance-sorted buckets, in
+    /// object-id order — a bucket rank *is* an object id.
+    buckets: LabelBuckets,
     parted: Option<PartitionedEngine>,
-    shards: Striped<Shard>,
+    shards: Striped<Stripe>,
     /// Backing page files, when the service runs a file-backed store mode.
     pages: Option<EpochPages>,
 }
@@ -485,15 +408,15 @@ impl EpochIndex {
         &self.index
     }
 
-    /// The contraction hierarchy, when [`ServiceConfig::hierarchy`] is on.
+    /// The contraction hierarchy; always `Some`, every epoch holds one.
     pub fn hierarchy(&self) -> Option<&ContractionHierarchy> {
-        self.ch.as_deref()
+        Some(&self.oracle.ch)
     }
 
-    /// The hub labels extracted from the hierarchy, when
-    /// [`ServiceConfig::hierarchy`] is on.
+    /// The hub labels extracted from the hierarchy; always `Some`, every
+    /// epoch holds them.
     pub fn hub_labels(&self) -> Option<&HubLabels> {
-        self.hl.as_ref().map(|labels| &*labels.hl)
+        Some(&self.oracle.hl)
     }
 
     /// Partitions the sharded backend routes across (1 for a single index).
@@ -507,22 +430,25 @@ impl EpochIndex {
         self.parted.as_ref().map(|pe| pe.pidx.part_of(node))
     }
 
+    /// Visit every parked session state of this epoch: the single index's
+    /// shards, then the partitions' stripes.
+    fn for_each_state(&self, mut f: impl FnMut(&mut SessionState)) {
+        let mut visit = |_: usize, stripe: &mut Stripe| {
+            if let Some(state) = stripe.state.as_mut() {
+                f(state);
+            }
+        };
+        self.shards.for_each(&mut visit);
+        if let Some(pe) = &self.parted {
+            pe.shards.for_each(visit);
+        }
+    }
+
     /// Page-access counters summed over this epoch's shards (partition
     /// stripes included).
     pub fn merged_io_stats(&self) -> IoStats {
         let mut total = IoStats::default();
-        self.shards.for_each(|_, shard| {
-            if let Some(state) = shard.state.as_ref() {
-                total += state.io_stats();
-            }
-        });
-        if let Some(pe) = &self.parted {
-            pe.shards.for_each(|_, shard| {
-                if let Some(state) = shard.state.as_ref() {
-                    total += state.io_stats();
-                }
-            });
-        }
+        self.for_each_state(|state| total += state.io_stats());
         total
     }
 
@@ -530,18 +456,7 @@ impl EpochIndex {
     /// stripes included).
     pub fn merged_op_stats(&self) -> OpStats {
         let mut total = OpStats::default();
-        self.shards.for_each(|_, shard| {
-            if let Some(state) = shard.state.as_ref() {
-                total += state.op_stats();
-            }
-        });
-        if let Some(pe) = &self.parted {
-            pe.shards.for_each(|_, shard| {
-                if let Some(state) = shard.state.as_ref() {
-                    total += state.op_stats();
-                }
-            });
-        }
+        self.for_each_state(|state| total += state.op_stats());
         total
     }
 
@@ -583,9 +498,9 @@ struct MaintState {
     /// attached.
     wal: Option<UpdateJournal>,
     log_dir: Option<PathBuf>,
-    /// The distance oracle of the last epoch swapped in (`None` with the
-    /// hierarchy off): what the next publish repairs instead of rebuilding.
-    oracle: Option<Oracle>,
+    /// The distance oracle of the last epoch swapped in: what the next
+    /// publish repairs instead of rebuilding.
+    oracle: Oracle,
     /// Every edge re-weighting acknowledged since `oracle` was current, as
     /// `(a, b, weight before)`, oldest first — what separates the network
     /// `oracle` answers for from `net`. A publish swaps at `seq` exactly, so
@@ -595,8 +510,8 @@ struct MaintState {
     last_publish: PublishProfile,
 }
 
-/// A hierarchy and the hub labels built over it; the `Arc`s are the ones
-/// the epoch that shipped them serves from.
+/// A hierarchy and the hub labels built over it, shared by the epoch that
+/// serves them and the maintenance state that repairs them next.
 #[derive(Clone)]
 struct Oracle {
     ch: Arc<ContractionHierarchy>,
@@ -613,7 +528,7 @@ pub struct PublishProfile {
     /// spanning-forest repair and signature re-encoding, every edge of the
     /// batch.
     pub maintain: Duration,
-    /// Contraction-hierarchy repair (zero with the hierarchy off).
+    /// Contraction-hierarchy repair.
     pub hierarchy: Duration,
     /// Hub-label repair over that hierarchy plus the object buckets.
     pub labels: Duration,
@@ -672,7 +587,7 @@ struct ShadowState {
     net: Arc<RoadNetwork>,
     index: Arc<SignatureIndex>,
     /// The oracle to repair and the re-weightings that outdated it.
-    oracle: Option<Oracle>,
+    oracle: Oracle,
     reweighted: Vec<(NodeId, NodeId, Dist)>,
 }
 
@@ -742,9 +657,10 @@ pub struct QueryService {
     /// Shards quarantined so far (cold-restarted after repeated degraded
     /// queries).
     quarantines: AtomicU64,
-    /// Degraded queries answered by an in-memory oracle — hub labels or
-    /// the hierarchy — as opposed to the Dijkstra fallback of last resort.
-    ch_fallbacks: AtomicU64,
+    /// Queries answered on the label oracle after their fast path
+    /// exhausted its retry budget — once per query, however many
+    /// partitions of a join degraded.
+    degraded_queries: AtomicU64,
     /// Label lookups performed outside any session — the hub-label backend
     /// and the in-memory fallbacks (labels are memory-resident, so these
     /// never route through a shard's [`OpStats`]). One per bucket scan
@@ -769,33 +685,27 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Build the index over `net`/`objects` and wrap it in a service. With
-    /// [`ServiceConfig::hierarchy`] (the default) the contraction hierarchy
-    /// is built first and handed to the signature construction, which uses
-    /// it for its distance evaluations
+    /// Build the index over `net`/`objects` and wrap it in a service. The
+    /// contraction hierarchy is built first and handed to the signature
+    /// construction, which uses it for its distance evaluations
     /// ([`dsi_signature::BuildDistanceMode::Auto`] always picks a prebuilt
     /// hierarchy) — one preprocessing pass amortized across index build,
-    /// query backend, and fallback path.
+    /// query backends, and the fault ladder's in-memory rung.
     pub fn new(
         net: RoadNetwork,
         objects: ObjectSet,
         sig: &SignatureConfig,
         cfg: &ServiceConfig,
     ) -> Self {
-        let ch = cfg
-            .hierarchy
-            .then(|| ContractionHierarchy::build(&net, &ChConfig::default()));
-        let index = match &ch {
-            Some(ch) => SignatureIndex::build_with_hierarchy(&net, &objects, sig, ch),
-            None => SignatureIndex::build(&net, &objects, sig),
-        };
+        let ch = ContractionHierarchy::build(&net, &ChConfig::default());
+        let index = SignatureIndex::build_with_hierarchy(&net, &objects, sig, &ch);
         QueryService::assemble(net, objects, index, ch, cfg, sig.clone(), 0)
     }
 
     /// Wrap an already-built index (e.g. one loaded from a checkpoint) in a
-    /// service. The maintainer's spanning forest (and the contraction
-    /// hierarchy, when configured) is rebuilt from `net`, so `index` must be
-    /// consistent with `net`/`objects` as given. Partitioned indexes (when
+    /// service. The maintainer's spanning forest and the contraction
+    /// hierarchy are rebuilt from `net`, so `index` must be consistent with
+    /// `net`/`objects` as given. Partitioned indexes (when
     /// [`ServiceConfig::partitions`] > 1) are built with the default
     /// signature configuration; build through [`Self::new`] (or
     /// [`Self::recover`]) to carry a custom one.
@@ -805,9 +715,7 @@ impl QueryService {
         index: SignatureIndex,
         cfg: &ServiceConfig,
     ) -> Self {
-        let ch = cfg
-            .hierarchy
-            .then(|| ContractionHierarchy::build(&net, &ChConfig::default()));
+        let ch = ContractionHierarchy::build(&net, &ChConfig::default());
         QueryService::assemble(net, objects, index, ch, cfg, SignatureConfig::default(), 0)
     }
 
@@ -815,7 +723,7 @@ impl QueryService {
         net: RoadNetwork,
         objects: ObjectSet,
         index: SignatureIndex,
-        ch: Option<ContractionHierarchy>,
+        ch: ContractionHierarchy,
         cfg: &ServiceConfig,
         sig: SignatureConfig,
         epoch: u64,
@@ -828,27 +736,20 @@ impl QueryService {
         let index_arc = Arc::new(index.clone());
         let pages = EpochPages::materialize(cfg.store, epoch, &net, &index, parted.as_ref());
         // The labels ride on the hierarchy: one extraction pass here backs
-        // the hub-label backend and tops the degraded-fallback ladder.
-        let oracle = ch.map(|ch| Oracle {
+        // the hub-label backend and the fault ladder's in-memory rung.
+        let oracle = Oracle {
             hl: Arc::new(HubLabels::build(&ch)),
             ch: Arc::new(ch),
-        });
-        let ch = oracle.as_ref().map(|o| o.ch.clone());
-        let hl = oracle
-            .as_ref()
-            .map(|o| ObjectLabels::over(o.hl.clone(), &objects));
+        };
         let epoch0 = Arc::new(EpochIndex {
             epoch,
             net: net_arc,
             objects: objects.clone(),
             index: index_arc,
-            ch,
-            hl,
+            buckets: oracle.hl.buckets(objects.host_nodes()),
+            oracle: oracle.clone(),
             parted,
-            shards: Striped::new(cfg.shards, |_| Shard {
-                state: None,
-                strikes: 0,
-            }),
+            shards: Striped::new(cfg.shards, |_| Stripe::default()),
             pages,
         });
         QueryService {
@@ -886,7 +787,7 @@ impl QueryService {
                 AtomicU64::new(0),
             ],
             quarantines: AtomicU64::new(0),
-            ch_fallbacks: AtomicU64::new(0),
+            degraded_queries: AtomicU64::new(0),
             hl_lookups: AtomicU64::new(0),
             hl_entries: AtomicU64::new(0),
             epoch_swaps: AtomicU64::new(0),
@@ -920,10 +821,9 @@ impl QueryService {
         self.snapshot().index.clone()
     }
 
-    /// The live epoch's contraction hierarchy, when
-    /// [`ServiceConfig::hierarchy`] is on.
-    pub fn hierarchy(&self) -> Option<Arc<ContractionHierarchy>> {
-        self.snapshot().ch.clone()
+    /// The live epoch's contraction hierarchy.
+    pub fn hierarchy(&self) -> Arc<ContractionHierarchy> {
+        self.snapshot().oracle.ch.clone()
     }
 
     /// Current maintenance epoch (bumped by every publish).
@@ -962,18 +862,6 @@ impl QueryService {
     ) -> BatchReport {
         let workers = workers.max(1);
         let ep = self.snapshot();
-        if backend == Backend::Hierarchy {
-            assert!(
-                ep.ch.is_some(),
-                "Backend::Hierarchy requires ServiceConfig::hierarchy"
-            );
-        }
-        if backend == Backend::HubLabel {
-            assert!(
-                ep.hl.is_some(),
-                "Backend::HubLabel requires ServiceConfig::hierarchy"
-            );
-        }
         let io_before = ep.merged_io_stats();
         let ops_before = ep.merged_op_stats();
         let hl_lookups_before = self.hl_lookups.load(Ordering::Relaxed);
@@ -997,41 +885,34 @@ impl QueryService {
                         let t0 = Instant::now();
                         // SLO-aware admission: on the paged backends, a
                         // query whose estimated completion time blows the
-                        // deadline is shed straight onto the exact
-                        // in-memory fallback instead of queueing behind a
-                        // slow storage path.
+                        // deadline is shed straight onto the exact label
+                        // oracle instead of queueing behind a slow storage
+                        // path.
                         let paged = matches!(backend, Backend::Signature | Backend::Sharded);
                         let queued = queries.len() - i - 1;
                         let shed = paged && self.should_shed(q.class(), queued, workers);
-                        let (out, degraded) = if shed {
-                            (self.execute_in_memory(ep, q, &mut sc), false)
-                        } else {
-                            match backend {
-                                Backend::Signature => self.execute_sharded(ep, q, &mut sc),
-                                Backend::Sharded => self.execute_partitioned(ep, q, &mut sc),
-                                Backend::Dijkstra => (
-                                    execute_dijkstra(&ep.net, &ep.objects, &mut sc.sssp, q),
-                                    false,
-                                ),
-                                Backend::Hierarchy => (
-                                    execute_hierarchy(
-                                        &ep.objects,
-                                        ep.ch.as_ref().expect("checked above"),
-                                        &mut sc.ch,
-                                        q,
-                                    ),
-                                    false,
-                                ),
-                                Backend::HubLabel => (
-                                    self.execute_hub_label(
-                                        &ep.objects,
-                                        ep.hl.as_ref().expect("checked above"),
-                                        q,
-                                        &mut sc,
-                                    ),
-                                    false,
-                                ),
+                        let objects = &ep.objects;
+                        let (out, degraded) = match backend {
+                            _ if shed => (self.execute_labels(ep, q, &mut sc), false),
+                            Backend::Signature => self.execute_signature(ep, q, &mut sc),
+                            Backend::Sharded => self.execute_partitioned(ep, q, &mut sc),
+                            Backend::Dijkstra => {
+                                let mut ine = exec::Dijkstra {
+                                    net: &ep.net,
+                                    objects,
+                                    ws: &mut sc.sssp,
+                                };
+                                (exec::execute(&mut ine, objects, q), false)
                             }
+                            Backend::Hierarchy => {
+                                let mut ch = exec::Hierarchy {
+                                    ch: &ep.oracle.ch,
+                                    objects,
+                                    ws: &mut sc.ch,
+                                };
+                                (exec::execute(&mut ch, objects, q), false)
+                            }
+                            Backend::HubLabel => (self.execute_labels(ep, q, &mut sc), false),
                         };
                         if self.live_epoch.load(Ordering::Relaxed) > ep.epoch {
                             // The pinned snapshot was superseded while this
@@ -1066,6 +947,9 @@ impl QueryService {
             deadline_misses += usize::from(self.deadline_ns > 0 && ns > self.deadline_ns);
         }
         self.shed.fetch_add(shed_count as u64, Ordering::Relaxed);
+        let degraded_count = degraded.iter().filter(|&&d| d).count();
+        self.degraded_queries
+            .fetch_add(degraded_count as u64, Ordering::Relaxed);
         self.deadline_misses
             .fetch_add(deadline_misses as u64, Ordering::Relaxed);
         let mut ops = ep.merged_op_stats() - ops_before;
@@ -1151,163 +1035,95 @@ impl QueryService {
         state
     }
 
-    /// Answer one query on the epoch's best exact in-memory engine: hub
-    /// labels when present (no graph search at all), else the contraction
-    /// hierarchy, else network expansion. The shed path and the degraded
-    /// ladder both land here — the answer is always exact, only the paged
-    /// fast path is skipped.
-    fn execute_in_memory(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> QueryOutput {
-        if let Some(labels) = &ep.hl {
-            return self.execute_hub_label(&ep.objects, labels, q, sc);
-        }
-        match &ep.ch {
-            Some(ch) => execute_hierarchy(&ep.objects, ch, &mut sc.ch, q),
-            None => execute_dijkstra(&ep.net, &ep.objects, &mut sc.sssp, q),
-        }
-    }
-
-    /// [`Self::execute_in_memory`] for the degraded ladder: an oracle
-    /// answer (labels or hierarchy) also counts toward
-    /// [`Self::hierarchy_fallback_count`].
-    fn execute_fallback(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> QueryOutput {
-        if ep.hl.is_some() || ep.ch.is_some() {
-            self.ch_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        self.execute_in_memory(ep, q, sc)
-    }
-
-    /// Answer one query on the epoch's label oracle. kNN is one bounded
-    /// scan of the object buckets from the query node's label, at the
-    /// bucket-head estimate of the k-th distance; the self ε-join is one
-    /// ε-bounded scan per source object. Range and aggregate still run one
-    /// `p2p` merge per object: they are [`ObjectLabels::join_row`]'s scan
-    /// started from the query node, and take it once `oracle_hl`'s
-    /// throughput can be measured across the resulting 50× step (ROADMAP
-    /// item 3).
-    ///
-    /// Results are element-wise identical to [`execute_hierarchy`] /
-    /// [`execute_dijkstra`]: ranges in id order, kNN keeps the `k`
-    /// smallest `(distance, object)` pairs, joins list `a < b` pairs in
-    /// order, unreachable objects never qualify. Label work is charged to
-    /// the service-level counters (the labels are memory-resident — there
-    /// is no session to charge): one lookup per bucket scan or `p2p`
-    /// merge, plus the label and bucket entries they walked.
-    fn execute_hub_label(
-        &self,
-        objects: &ObjectSet,
-        labels: &ObjectLabels,
-        q: &Query,
-        sc: &mut Scratch,
-    ) -> QueryOutput {
-        let (hl, buckets): (&HubLabels, _) = (&labels.hl, &labels.buckets);
-        let mut lookups = 0u64;
-        let mut scanned = 0u64;
-        // Every object within `eps` of `node`, id-ascending, by one label
-        // merge each.
-        let mut within = |node: NodeId, eps: Dist| -> Vec<(Dist, ObjectId)> {
-            lookups += objects.len() as u64;
-            objects
-                .iter()
-                .filter_map(|(o, host)| {
-                    let (d, entries) = hl.p2p_counted(node, host);
-                    scanned += entries;
-                    (d != INFINITY && d <= eps).then_some((d, o))
-                })
-                .collect()
-        };
-        let out = match *q {
-            Query::Range { node, eps } => {
-                QueryOutput::Range(within(node, eps).into_iter().map(|(_, o)| o).collect())
-            }
-            Query::Knn { node, k } => {
-                lookups = 1;
-                scanned = hl.knn(node, buckets, k, &mut sc.dense, &mut sc.hits);
-                QueryOutput::Knn(
-                    sc.hits
-                        .iter()
-                        .map(|&(d, o)| KnnResult {
-                            object: ObjectId(o),
-                            dist: Some(d),
-                        })
-                        .collect(),
-                )
-            }
-            Query::Aggregate { node, eps } => {
-                let mut agg = RangeAggregate::default();
-                for (d, _) in within(node, eps) {
-                    agg.count += 1;
-                    agg.sum += d as u64;
-                    agg.min = Some(agg.min.map_or(d, |m| m.min(d)));
-                    agg.max = Some(agg.max.map_or(d, |m| m.max(d)));
-                }
-                QueryOutput::Aggregate(agg)
-            }
-            Query::Join { eps } => {
-                lookups = objects.len() as u64;
-                let mut pairs = Vec::new();
-                scanned = objects
-                    .objects()
-                    .map(|a| labels.join_row(objects, a, eps, sc, &mut pairs))
-                    .sum();
-                pairs.sort_unstable();
-                QueryOutput::Join(pairs)
-            }
-        };
-        self.hl_lookups.fetch_add(lookups, Ordering::Relaxed);
-        self.hl_entries.fetch_add(scanned, Ordering::Relaxed);
+    /// Answer one query on the epoch's label oracle: the hub-label backend,
+    /// and the one in-memory rung the shed and degraded paths land on — the
+    /// answer is always exact, only the paged fast path is skipped. Label
+    /// work is charged to the service-level counters (the labels are
+    /// memory-resident — there is no session to charge).
+    fn execute_labels(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> QueryOutput {
+        let mut labels = sc.labels(&ep.oracle.hl, &ep.buckets, &ep.objects);
+        let out = exec::execute(&mut labels, &ep.objects, q);
+        self.charge_labels(labels.lookups, labels.scanned);
         out
     }
 
-    /// Execute one query under its shard's lock on the pinned epoch's
-    /// signature index, returning the output and whether it was answered by
-    /// the degraded fallback.
-    ///
-    /// The fault-handling ladder: a storage fault aborts the attempt; the
-    /// query is retried (bounded backoff; failed reads are never cached, so
-    /// a retry re-draws the fault stream while keeping the pages it did
-    /// read) up to the retry budget; past the budget the query is answered
-    /// exactly off the fast paths ([`Self::execute_fallback`]) — by the
-    /// label oracle or hierarchy when the epoch holds one (memory-resident,
-    /// so immune to the injected storage faults), else by incremental
-    /// network expansion. Repeated degradation quarantines the shard:
-    /// pages and decodes are dropped, counters survive.
-    fn execute_sharded(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> (QueryOutput, bool) {
-        let mut shard = ep.shards.lock(q.route_key());
-        let mut state = shard
+    fn charge_labels(&self, lookups: u64, scanned: u64) {
+        self.hl_lookups.fetch_add(lookups, Ordering::Relaxed);
+        self.hl_entries.fetch_add(scanned, Ordering::Relaxed);
+    }
+
+    /// The fault ladder, on one session stripe: a storage fault aborts the
+    /// attempt; the attempt is retried (bounded backoff; failed reads are
+    /// never cached, so a retry re-draws the fault stream while keeping the
+    /// pages it did read) up to the retry budget; past the budget the
+    /// stripe notes the query degraded and `None` sends the caller to the
+    /// label oracle. Repeated degradation quarantines the stripe: pages and
+    /// decodes are dropped, counters survive. Strikes are per stripe, so a
+    /// fault storm in one partition never cools another.
+    fn ladder<'i, T>(
+        &self,
+        stripe: &mut Stripe,
+        file: Option<&Arc<PageFile>>,
+        resume: impl Fn(SessionState) -> Session<'i>,
+        mut attempt: impl FnMut(&mut Session<'i>) -> OpResult<T>,
+    ) -> Option<T> {
+        stripe.queries += 1;
+        let mut state = stripe
             .state
             .take()
-            .unwrap_or_else(|| self.fresh_state(ep.pages.as_ref().map(|pg| &pg.index)));
-        let mut attempt = 0u32;
+            .unwrap_or_else(|| self.fresh_state(file));
+        let mut tries = 0u32;
         loop {
-            let mut sess = Session::resume(&ep.index, &ep.net, state);
-            match try_execute_signature(&mut sess, q) {
+            let mut sess = resume(state);
+            let result = attempt(&mut sess);
+            state = sess.suspend();
+            match result {
                 Ok(out) => {
-                    shard.strikes = 0;
-                    shard.state = Some(sess.suspend());
-                    return (out, false);
+                    stripe.strikes = 0;
+                    stripe.state = Some(state);
+                    return Some(out);
+                }
+                Err(_fault) if tries < self.retry_budget => {
+                    tries += 1;
+                    state.note_retry();
+                    // Bounded exponential backoff — a stand-in for letting a
+                    // real device recover; kept tiny so fault storms degrade
+                    // throughput, not liveness.
+                    std::thread::sleep(Duration::from_micros(20u64 << tries.min(6)));
                 }
                 Err(_fault) => {
-                    state = sess.suspend();
-                    if attempt < self.retry_budget {
-                        attempt += 1;
-                        state.note_retry();
-                        // Bounded exponential backoff — a stand-in for
-                        // letting a real device recover; kept tiny so fault
-                        // storms degrade throughput, not liveness.
-                        std::thread::sleep(Duration::from_micros(20u64 << attempt.min(6)));
-                        continue;
-                    }
                     state.note_degraded();
-                    shard.strikes += 1;
-                    if shard.strikes >= QUARANTINE_STRIKES {
+                    stripe.strikes += 1;
+                    if stripe.strikes >= QUARANTINE_STRIKES {
                         state.quarantine();
-                        shard.strikes = 0;
+                        stripe.strikes = 0;
                         self.quarantines.fetch_add(1, Ordering::Relaxed);
                     }
-                    shard.state = Some(state);
-                    return (self.execute_fallback(ep, q, sc), true);
+                    stripe.state = Some(state);
+                    return None;
                 }
             }
+        }
+    }
+
+    /// Execute one query on the pinned epoch's signature index through its
+    /// shard's fault ladder, returning the output and whether it was
+    /// answered by the label oracle instead.
+    fn execute_signature(
+        &self,
+        ep: &EpochIndex,
+        q: &Query,
+        sc: &mut Scratch,
+    ) -> (QueryOutput, bool) {
+        let answered = self.ladder(
+            &mut ep.shards.lock(q.route_key()),
+            ep.pages.as_ref().map(|pg| &pg.index),
+            |state| Session::resume(&ep.index, &ep.net, state),
+            |sess| try_execute_signature(sess, q),
+        );
+        match answered {
+            Some(out) => (out, false),
+            None => (self.execute_labels(ep, q, sc), true),
         }
     }
 
@@ -1315,12 +1131,13 @@ impl QueryService {
     /// partitioned indexes.
     ///
     /// A node-anchored query locks its home partition's stripe only: the
-    /// region operators plus the boundary frontier run entirely on that
-    /// partition's session (remote regions contribute through the
-    /// precomputed overlay and glue rows — no remote pages are touched). A
-    /// join visits every partition in turn, each under its own lock and
-    /// ladder, so a degraded partition falls back alone while the healthy
-    /// ones still answer off their indexes.
+    /// region operators run on that partition's session, and remote regions
+    /// contribute through the boundary overlay's hub labels and the
+    /// precomputed glue rows — no remote page is touched. A join visits
+    /// every partition in turn, each under its own lock and ladder; a
+    /// degraded partition's rows come from the label oracle's join rows
+    /// over that partition's objects while the healthy ones still answer
+    /// off their indexes.
     ///
     /// With [`ServiceConfig::partitions`] ≤ 1 there is nothing to route
     /// across and the query takes the literal single-index path.
@@ -1331,147 +1148,60 @@ impl QueryService {
         sc: &mut Scratch,
     ) -> (QueryOutput, bool) {
         let Some(pe) = &ep.parted else {
-            return self.execute_sharded(ep, q, sc);
+            return self.execute_signature(ep, q, sc);
         };
-        match *q {
+        let file = ep.pages.as_ref().and_then(|pg| pg.parted.as_ref());
+        let node = match *q {
+            Query::Range { node, .. } | Query::Knn { node, .. } | Query::Aggregate { node, .. } => {
+                node
+            }
             Query::Join { eps } => {
                 let mut pairs = Vec::new();
-                let mut any_degraded = false;
+                let mut degraded = false;
                 for p in 0..pe.pidx.num_parts() {
-                    match self.part_ladder(ep, pe, p, |pidx, sess| pidx.try_join_rows(sess, p, eps))
-                    {
-                        Ok(rows) => pairs.extend(rows),
-                        Err(()) => {
-                            any_degraded = true;
-                            self.fallback_join_rows(ep, pe, p, eps, sc, &mut pairs);
+                    let rows = self.ladder(
+                        &mut pe.shards.lock_shard(p),
+                        file,
+                        |state| pe.pidx.resume(p, state),
+                        |sess| pe.pidx.try_join_rows(sess, p, eps),
+                    );
+                    match rows {
+                        Some(rows) => pairs.extend(rows),
+                        None => {
+                            degraded = true;
+                            let mut labels = sc.labels(&ep.oracle.hl, &ep.buckets, &ep.objects);
+                            for a in pe.pidx.part(p).real_objects() {
+                                labels.join_row(a, eps, &mut pairs);
+                            }
+                            self.charge_labels(labels.lookups, labels.scanned);
                         }
                     }
                 }
                 pairs.sort_unstable();
-                (QueryOutput::Join(pairs), any_degraded)
+                return (QueryOutput::Join(pairs), degraded);
             }
-            _ => {
-                let node = match *q {
-                    Query::Range { node, .. }
-                    | Query::Knn { node, .. }
-                    | Query::Aggregate { node, .. } => node,
-                    Query::Join { .. } => unreachable!("handled above"),
-                };
-                let p = pe.pidx.part_of(node);
-                let attempt = |pidx: &PartitionedIndex, sess: &mut Session<'_>| match *q {
-                    Query::Range { node, eps } => {
-                        pidx.try_range(sess, p, node, eps).map(QueryOutput::Range)
-                    }
-                    Query::Knn { node, k } => pidx.try_knn(sess, p, node, k).map(QueryOutput::Knn),
-                    Query::Aggregate { node, eps } => pidx
-                        .try_aggregate(sess, p, node, eps)
-                        .map(QueryOutput::Aggregate),
-                    Query::Join { .. } => unreachable!("handled above"),
-                };
-                match self.part_ladder(ep, pe, p, attempt) {
-                    Ok(out) => (out, false),
-                    // The whole query re-runs on the exact in-memory
-                    // fallback — same ladder top as the single-index path.
-                    Err(()) => (self.execute_fallback(ep, q, sc), true),
-                }
-            }
-        }
-    }
-
-    /// Run one attempt ladder on partition `p`'s session stripe: retry with
-    /// bounded backoff up to the budget, then surface `Err(())` for the
-    /// caller's exact fallback. Strikes and quarantines are per partition —
-    /// the counters and caches of every other region are untouched.
-    fn part_ladder<T>(
-        &self,
-        ep: &EpochIndex,
-        pe: &PartitionedEngine,
-        p: usize,
-        mut attempt: impl FnMut(&PartitionedIndex, &mut Session<'_>) -> OpResult<T>,
-    ) -> Result<T, ()> {
-        let mut shard = pe.shards.lock_shard(p);
-        shard.queries += 1;
-        let mut state = shard.state.take().unwrap_or_else(|| {
-            self.fresh_state(ep.pages.as_ref().and_then(|pg| pg.parted.as_ref()))
-        });
-        let mut tries = 0u32;
-        loop {
-            let mut sess = pe.pidx.resume(p, state);
-            match attempt(&pe.pidx, &mut sess) {
-                Ok(out) => {
-                    shard.strikes = 0;
-                    shard.state = Some(sess.suspend());
-                    return Ok(out);
-                }
-                Err(_fault) => {
-                    state = sess.suspend();
-                    if tries < self.retry_budget {
-                        tries += 1;
-                        state.note_retry();
-                        std::thread::sleep(Duration::from_micros(20u64 << tries.min(6)));
-                        continue;
-                    }
-                    state.note_degraded();
-                    shard.strikes += 1;
-                    if shard.strikes >= QUARANTINE_STRIKES {
-                        state.quarantine();
-                        shard.strikes = 0;
-                        self.quarantines.fetch_add(1, Ordering::Relaxed);
-                    }
-                    shard.state = Some(state);
-                    return Err(());
-                }
-            }
-        }
-    }
-
-    /// Exact fallback for one partition's share of a self ε-join: pairs
-    /// `(a, b)` with `a` hosted in partition `p`, `a < b`, `d ≤ eps`,
-    /// computed on the full network (the epoch's label oracle when
-    /// available — the same ε-bounded bucket scan per source object the
-    /// hub-label join runs — else the hierarchy oracle, else network
-    /// expansion) without touching the partition's faulty storage.
-    fn fallback_join_rows(
-        &self,
-        ep: &EpochIndex,
-        pe: &PartitionedEngine,
-        p: usize,
-        eps: Dist,
-        sc: &mut Scratch,
-        pairs: &mut Vec<(ObjectId, ObjectId)>,
-    ) {
-        let sources = pe.pidx.part(p).real_objects();
-        if let Some(labels) = &ep.hl {
-            self.ch_fallbacks.fetch_add(1, Ordering::Relaxed);
-            let (mut lookups, mut scanned) = (0u64, 0u64);
-            for a in sources {
-                lookups += 1;
-                scanned += labels.join_row(&ep.objects, a, eps, sc, pairs);
-            }
-            self.hl_lookups.fetch_add(lookups, Ordering::Relaxed);
-            self.hl_entries.fetch_add(scanned, Ordering::Relaxed);
-        } else if let Some(ch) = &ep.ch {
-            self.ch_fallbacks.fetch_add(1, Ordering::Relaxed);
-            for a in sources {
-                let host = ep.objects.node_of(a);
-                for (b, hb) in ep.objects.iter() {
-                    if b > a {
-                        let d = ch.p2p(host, hb, &mut sc.ch);
-                        if d != INFINITY && d <= eps {
-                            pairs.push((a, b));
-                        }
-                    }
-                }
-            }
-        } else {
-            for a in sources {
-                let host = ep.objects.node_of(a);
-                for (b, _) in expand_range(&ep.net, &ep.objects, &mut sc.sssp, host, eps) {
-                    if b > a {
-                        pairs.push((a, b));
-                    }
-                }
-            }
+        };
+        let p = pe.pidx.part_of(node);
+        let answered = self.ladder(
+            &mut pe.shards.lock_shard(p),
+            file,
+            |state| pe.pidx.resume(p, state),
+            |sess| match *q {
+                Query::Range { node, eps } => pe
+                    .pidx
+                    .try_range(sess, p, node, eps)
+                    .map(QueryOutput::Range),
+                Query::Knn { node, k } => pe.pidx.try_knn(sess, p, node, k).map(QueryOutput::Knn),
+                Query::Aggregate { node, eps } => pe
+                    .pidx
+                    .try_aggregate(sess, p, node, eps)
+                    .map(QueryOutput::Aggregate),
+                Query::Join { .. } => unreachable!("answered above"),
+            },
+        );
+        match answered {
+            Some(out) => (out, false),
+            None => (self.execute_labels(ep, q, sc), true),
         }
     }
 
@@ -1538,14 +1268,11 @@ impl QueryService {
                         net,
                         index,
                         maint,
-                        oracle,
                         reweighted,
                         ..
                     } = &mut *m;
-                    if oracle.is_some() {
-                        let was = net.edge_weight(a, b).expect("batch validated above");
-                        reweighted.push((a, b, was));
-                    }
+                    let was = net.edge_weight(a, b).expect("batch validated above");
+                    reweighted.push((a, b, was));
                     maint.update_edge(net, index, a, b, w)
                 })
                 .collect();
@@ -1571,23 +1298,20 @@ impl QueryService {
         for round in 0..CATCHUP_ROUNDS {
             // The expensive work happens with no lock held: readers serve the
             // live epoch, writers acknowledge into the canonical state.
-            let oracle = shadow.oracle.as_ref().map(|was| {
-                let (ch, recontracted) = timed(&mut profile.hierarchy, || {
-                    was.ch.repaired(&shadow.net, &shadow.reweighted)
-                });
-                let (hl, work) = timed(&mut profile.labels, || was.hl.repaired(&was.ch, &ch));
-                profile.ch_recontracted += recontracted;
-                profile.labels_rebuilt += work.rebuilt;
-                profile.labels_changed += work.changed;
-                Oracle {
-                    ch: Arc::new(ch),
-                    hl: Arc::new(hl),
-                }
+            let was = &shadow.oracle;
+            let (ch, recontracted) = timed(&mut profile.hierarchy, || {
+                was.ch.repaired(&shadow.net, &shadow.reweighted)
             });
-            let hl = oracle.as_ref().map(|o| {
-                timed(&mut profile.labels, || {
-                    ObjectLabels::over(o.hl.clone(), &self.objects)
-                })
+            let (hl, work) = timed(&mut profile.labels, || was.hl.repaired(&was.ch, &ch));
+            profile.ch_recontracted += recontracted;
+            profile.labels_rebuilt += work.rebuilt;
+            profile.labels_changed += work.changed;
+            let oracle = Oracle {
+                ch: Arc::new(ch),
+                hl: Arc::new(hl),
+            };
+            let buckets = timed(&mut profile.labels, || {
+                oracle.hl.buckets(self.objects.host_nodes())
             });
             let parted = (self.partitions > 1).then(|| {
                 timed(&mut profile.partitions, || {
@@ -1643,13 +1367,10 @@ impl QueryService {
                 net: shadow.net,
                 objects: self.objects.clone(),
                 index: shadow.index,
-                ch: oracle.as_ref().map(|o| o.ch.clone()),
-                hl,
+                oracle: oracle.clone(),
+                buckets,
                 parted,
-                shards: Striped::new(self.num_shards, |_| Shard {
-                    state: None,
-                    strikes: 0,
-                }),
+                shards: Striped::new(self.num_shards, |_| Stripe::default()),
                 pages,
             });
             *self.live.write().expect("live epoch lock") = ep;
@@ -1883,12 +1604,8 @@ impl QueryService {
         // one when acknowledged updates survived past it (they are part of
         // the recovered state, so the epoch must move).
         let epoch = last_done_epoch + u64::from(updates_since_done > 0);
-        let svc = {
-            let ch = cfg
-                .hierarchy
-                .then(|| ContractionHierarchy::build(&net, &ChConfig::default()));
-            QueryService::assemble(net, objects, index, ch, cfg, sig.clone(), epoch)
-        };
+        let ch = ContractionHierarchy::build(&net, &ChConfig::default());
+        let svc = QueryService::assemble(net, objects, index, ch, cfg, sig.clone(), epoch);
         {
             let mut m = svc.maint.lock().expect("maint lock");
             m.wal = Some(wal);
@@ -1928,12 +1645,13 @@ impl QueryService {
         self.deadline_misses.load(Ordering::Relaxed)
     }
 
-    /// Degraded queries answered by an in-memory oracle (hub labels or the
-    /// hierarchy) since the service was built. With a hierarchy configured
-    /// this equals the total degraded count — the Dijkstra fallback is
-    /// reached only when no hierarchy exists.
+    /// Degraded queries since the service was built: queries whose fast
+    /// path exhausted its retry budget and that the epoch's label oracle
+    /// answered instead. Each counts once, however many partitions of a
+    /// sharded join degraded — the sum of [`BatchReport::degraded_count`]
+    /// over every batch served.
     pub fn hierarchy_fallback_count(&self) -> u64 {
-        self.ch_fallbacks.load(Ordering::Relaxed)
+        self.degraded_queries.load(Ordering::Relaxed)
     }
 
     /// Epochs published (atomic swaps) since the service was built.
@@ -1994,13 +1712,6 @@ impl QueryService {
         self.snapshot().num_partitions()
     }
 
-    /// Whether the live epoch carries hub labels — built whenever
-    /// [`ServiceConfig::hierarchy`] is on, and required by
-    /// [`Backend::HubLabel`].
-    pub fn has_hub_labels(&self) -> bool {
-        self.snapshot().hl.is_some()
-    }
-
     /// Partition owning `node` under the sharded backend, `None` when the
     /// service serves a single index.
     pub fn partition_of(&self, node: NodeId) -> Option<usize> {
@@ -2012,19 +1723,7 @@ impl QueryService {
     /// deltas in [`BatchReport::per_part`] anyway) but zero their I/O and
     /// op counters.
     pub fn reset_stats(&self) {
-        let ep = self.snapshot();
-        ep.shards.for_each(|_, shard| {
-            if let Some(state) = shard.state.as_mut() {
-                state.reset_stats();
-            }
-        });
-        if let Some(pe) = &ep.parted {
-            pe.shards.for_each(|_, shard| {
-                if let Some(state) = shard.state.as_mut() {
-                    state.reset_stats();
-                }
-            });
-        }
+        self.snapshot().for_each_state(SessionState::reset_stats);
     }
 
     /// One-line stats dump: epoch, shards, merged I/O and op counters (via
@@ -2039,24 +1738,18 @@ impl QueryService {
             ep.merged_io_stats(),
             ep.merged_op_stats()
         );
-        match &ep.ch {
-            Some(ch) => s.push_str(&format!(
-                " | hierarchy: {} arcs ({} shortcuts)",
-                ch.num_up_arcs(),
-                ch.num_shortcuts()
-            )),
-            None => s.push_str(" | hierarchy: off"),
-        }
-        if let Some(ObjectLabels { hl, buckets }) = &ep.hl {
-            s.push_str(&format!(
-                " | labels: {} entries (avg {:.1}/node, {} KiB) + object buckets: {} entries ({} KiB)",
-                hl.num_entries(),
-                hl.avg_label_len(),
-                hl.label_bytes() / 1024,
-                buckets.num_entries(),
-                buckets.bytes() / 1024
-            ));
-        }
+        let Oracle { ch, hl } = &ep.oracle;
+        s.push_str(&format!(
+            " | hierarchy: {} arcs ({} shortcuts) | labels: {} entries (avg {:.1}/node, {} KiB) \
+             + object buckets: {} entries ({} KiB)",
+            ch.num_up_arcs(),
+            ch.num_shortcuts(),
+            hl.num_entries(),
+            hl.avg_label_len(),
+            hl.label_bytes() / 1024,
+            ep.buckets.num_entries(),
+            ep.buckets.bytes() / 1024
+        ));
         let hl_lookups = self.hl_lookups.load(Ordering::Relaxed);
         if hl_lookups > 0 {
             s.push_str(&format!(
@@ -2077,9 +1770,9 @@ impl QueryService {
         if quarantines > 0 {
             s.push_str(&format!(" | {quarantines} quarantines"));
         }
-        let ch_fallbacks = self.hierarchy_fallback_count();
-        if ch_fallbacks > 0 {
-            s.push_str(&format!(" | {ch_fallbacks} ch-fallbacks"));
+        let degraded = self.hierarchy_fallback_count();
+        if degraded > 0 {
+            s.push_str(&format!(" | {degraded} degraded queries"));
         }
         if self.store.is_backed() {
             s.push_str(&format!(" | store: {}", self.store.label()));
@@ -2154,178 +1847,12 @@ fn try_execute_signature(sess: &mut Session<'_>, q: &Query) -> OpResult<QueryOut
     })
 }
 
-/// Answer one query on the contraction-hierarchy oracle: every needed
-/// distance is one bidirectional upward search in `ws`.
-///
-/// Results are element-wise identical to [`execute_dijkstra`]: ranges list
-/// qualifying objects in id order, kNN keeps the `k` smallest `(distance,
-/// object)` pairs (same deterministic tie cut), joins list `a < b` pairs in
-/// order. Unreachable objects (`INFINITY`) never qualify, matching an
-/// expansion that never settles them.
-fn execute_hierarchy(
-    objects: &ObjectSet,
-    ch: &ContractionHierarchy,
-    ws: &mut ChWorkspace,
-    q: &Query,
-) -> QueryOutput {
-    match *q {
-        Query::Range { node, eps } => QueryOutput::Range(
-            objects
-                .iter()
-                .filter(|&(_, host)| {
-                    let d = ch.p2p(node, host, ws);
-                    d != INFINITY && d <= eps
-                })
-                .map(|(o, _)| o)
-                .collect(),
-        ),
-        Query::Knn { node, k } => {
-            let k = k.min(objects.len());
-            let mut found: Vec<(Dist, ObjectId)> = objects
-                .iter()
-                .filter_map(|(o, host)| {
-                    let d = ch.p2p(node, host, ws);
-                    (d != INFINITY).then_some((d, o))
-                })
-                .collect();
-            found.sort_unstable();
-            found.truncate(k);
-            QueryOutput::Knn(
-                found
-                    .into_iter()
-                    .map(|(d, o)| KnnResult {
-                        object: o,
-                        dist: Some(d),
-                    })
-                    .collect(),
-            )
-        }
-        Query::Aggregate { node, eps } => {
-            let mut agg = RangeAggregate::default();
-            for (_, host) in objects.iter() {
-                let d = ch.p2p(node, host, ws);
-                if d != INFINITY && d <= eps {
-                    agg.count += 1;
-                    agg.sum += d as u64;
-                    agg.min = Some(agg.min.map_or(d, |m| m.min(d)));
-                    agg.max = Some(agg.max.map_or(d, |m| m.max(d)));
-                }
-            }
-            QueryOutput::Aggregate(agg)
-        }
-        Query::Join { eps } => {
-            let hosts: Vec<(ObjectId, NodeId)> = objects.iter().collect();
-            let mut pairs = Vec::new();
-            for (i, &(a, ha)) in hosts.iter().enumerate() {
-                for &(b, hb) in &hosts[i + 1..] {
-                    let d = ch.p2p(ha, hb, ws);
-                    if d != INFINITY && d <= eps {
-                        pairs.push((a, b));
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            QueryOutput::Join(pairs)
-        }
-    }
-}
-
-/// Answer one query by incremental network expansion in `ws`.
-fn execute_dijkstra(
-    net: &RoadNetwork,
-    objects: &ObjectSet,
-    ws: &mut SsspWorkspace,
-    q: &Query,
-) -> QueryOutput {
-    match *q {
-        Query::Range { node, eps } => {
-            let mut found = expand_range(net, objects, ws, node, eps);
-            found.sort_unstable_by_key(|&(o, _)| o);
-            QueryOutput::Range(found.into_iter().map(|(o, _)| o).collect())
-        }
-        Query::Knn { node, k } => {
-            let k = k.min(objects.len());
-            let mut exp = DijkstraExpansion::in_workspace(net, node, ws);
-            let mut found: Vec<(Dist, ObjectId)> = Vec::new();
-            let mut bound = None;
-            while let Some((v, d)) = exp.next_settled() {
-                if bound.is_some_and(|b| d > b) {
-                    break;
-                }
-                if let Some(o) = objects.object_at(v) {
-                    found.push((d, o));
-                    if found.len() == k {
-                        // Keep settling to pick up ties at the k-th
-                        // distance, then cut deterministically below.
-                        bound = Some(d);
-                    }
-                }
-            }
-            found.sort_unstable();
-            found.truncate(k);
-            QueryOutput::Knn(
-                found
-                    .into_iter()
-                    .map(|(d, o)| KnnResult {
-                        object: o,
-                        dist: Some(d),
-                    })
-                    .collect(),
-            )
-        }
-        Query::Aggregate { node, eps } => {
-            let found = expand_range(net, objects, ws, node, eps);
-            let mut agg = RangeAggregate::default();
-            for (_, d) in &found {
-                agg.count += 1;
-                agg.sum += *d as u64;
-                agg.min = Some(agg.min.map_or(*d, |m| m.min(*d)));
-                agg.max = Some(agg.max.map_or(*d, |m| m.max(*d)));
-            }
-            QueryOutput::Aggregate(agg)
-        }
-        Query::Join { eps } => {
-            let mut pairs = Vec::new();
-            for (a, host) in objects.iter() {
-                for (b, _) in expand_range(net, objects, ws, host, eps) {
-                    if a < b {
-                        pairs.push((a, b));
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            QueryOutput::Join(pairs)
-        }
-    }
-}
-
-/// Objects within `eps` of `node` with their exact distances, in settle
-/// order.
-fn expand_range(
-    net: &RoadNetwork,
-    objects: &ObjectSet,
-    ws: &mut SsspWorkspace,
-    node: NodeId,
-    eps: Dist,
-) -> Vec<(ObjectId, Dist)> {
-    let mut exp = DijkstraExpansion::in_workspace(net, node, ws);
-    let mut found = Vec::new();
-    while let Some((v, d)) = exp.next_settled() {
-        if d > eps {
-            break;
-        }
-        if let Some(o) = objects.object_at(v) {
-            found.push((o, d));
-        }
-    }
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{generate, WorkloadConfig, WorkloadMix};
     use dsi_graph::generate::{random_planar, PlanarConfig};
+    use dsi_graph::INFINITY;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2358,14 +1885,7 @@ mod tests {
                 )
             }
             Query::Aggregate { node, eps } => {
-                let mut agg = RangeAggregate::default();
-                for (d, _) in within(node, eps) {
-                    agg.count += 1;
-                    agg.sum += d as u64;
-                    agg.min = Some(agg.min.map_or(d, |m| m.min(d)));
-                    agg.max = Some(agg.max.map_or(d, |m| m.max(d)));
-                }
-                QueryOutput::Aggregate(agg)
+                QueryOutput::Aggregate(within(node, eps).map(|(d, _)| d).collect())
             }
             Query::Join { eps } => QueryOutput::Join(
                 objects
@@ -2380,7 +1900,7 @@ mod tests {
         }
     }
 
-    fn small_service(partitions: usize) -> QueryService {
+    fn small_service(partitions: usize, fault_plan: FaultPlan) -> QueryService {
         let mut rng = StdRng::seed_from_u64(31);
         let net = random_planar(
             &PlanarConfig {
@@ -2392,6 +1912,7 @@ mod tests {
         let objects = ObjectSet::uniform(&net, 0.06, &mut rng);
         let cfg = ServiceConfig {
             partitions,
+            fault_plan,
             ..Default::default()
         };
         QueryService::new(net, objects, &SignatureConfig::default(), &cfg)
@@ -2399,16 +1920,15 @@ mod tests {
 
     #[test]
     fn bucket_scans_match_the_per_object_reference() {
-        let svc = small_service(1);
+        let svc = small_service(1, FaultPlan::none());
         let ep = svc.snapshot();
-        let labels = ep.hl.as_ref().expect("hierarchy is on by default");
         let objects = &ep.objects;
 
         // Bucket rank == object id: the buckets cover exactly the object
         // hosts, and each host's own row holds its object at distance 0.
-        assert_eq!(labels.buckets.num_targets(), objects.len());
+        assert_eq!(ep.buckets.num_targets(), objects.len());
         for (o, host) in objects.iter() {
-            assert_eq!(labels.buckets.row(host).first(), Some(&(o.0, 0)));
+            assert_eq!(ep.buckets.row(host).first(), Some(&(o.0, 0)));
         }
 
         // Radii from "nothing qualifies" to "everything does"; k from 0
@@ -2436,8 +1956,8 @@ mod tests {
         let mut sc = Scratch::default();
         for q in &batch {
             assert_eq!(
-                svc.execute_hub_label(objects, labels, q, &mut sc),
-                reference_hub_label(objects, &labels.hl, q),
+                svc.execute_labels(&ep, q, &mut sc),
+                reference_hub_label(objects, &ep.oracle.hl, q),
                 "{q:?}"
             );
         }
@@ -2445,20 +1965,17 @@ mod tests {
 
     #[test]
     fn degraded_partition_join_rows_come_from_the_epoch_buckets() {
-        let svc = small_service(3);
+        // Every physical read fails, so every partition's share of the join
+        // degrades onto the label oracle's join rows.
+        let svc = small_service(3, FaultPlan::failures(29, 1.0, 0.0));
         let ep = svc.snapshot();
-        let pe = ep.parted.as_ref().expect("three partitions");
         let eps = 15;
-        let mut sc = Scratch::default();
-        let mut pairs = Vec::new();
-        for p in 0..pe.pidx.num_parts() {
-            svc.fallback_join_rows(&ep, pe, p, eps, &mut sc, &mut pairs);
-        }
-        pairs.sort_unstable();
-        let labels = ep.hl.as_ref().expect("hierarchy is on by default");
+        let (out, degraded) =
+            svc.execute_partitioned(&ep, &Query::Join { eps }, &mut Scratch::default());
+        assert!(degraded);
         assert_eq!(
-            QueryOutput::Join(pairs),
-            reference_hub_label(&ep.objects, &labels.hl, &Query::Join { eps })
+            out,
+            reference_hub_label(&ep.objects, &ep.oracle.hl, &Query::Join { eps })
         );
         // One lookup per source object — no per-partition bucket rebuild.
         assert_eq!(

@@ -13,8 +13,13 @@
 //!   lock-striped per-epoch sessions (buffer pool + decode cache +
 //!   counters), a `std::thread::scope` worker pool pulling queries off a
 //!   shared cursor, and (with [`ServiceConfig::partitions`] > 1) a shard
-//!   router over K partitioned signature indexes ([`Backend::Sharded`])
-//!   with a per-partition retry → degrade → quarantine ladder;
+//!   router over K partitioned signature indexes ([`Backend::Sharded`]).
+//!   Every session stripe — a shard of the single index or a partition's —
+//!   runs one retry → degrade → quarantine ladder whose in-memory rung is
+//!   the epoch's hub-label oracle, which every epoch holds; the three
+//!   in-memory backends (Dijkstra, hierarchy, hub labels) answer through
+//!   one private operator set that writes range, kNN, aggregate and join
+//!   once over an object-distance interface;
 //! * [`journal`] — crash safety for maintenance: a checksummed write-ahead
 //!   journal of edge updates and publish-protocol markers
 //!   ([`JournalRecord`]) plus atomic full-state checkpoints, replayed by
@@ -33,6 +38,7 @@
 //! concurrent maintenance hides behind reader tails.
 
 pub mod engine;
+mod exec;
 pub mod journal;
 pub mod stats;
 pub mod workload;

@@ -1,19 +1,17 @@
 //! Fault-injection equivalence: under a deterministic storage fault plan
 //! the service must keep producing exactly the fault-free answers. Failed
 //! fast paths are retried; past the retry budget the query is answered
-//! exactly by an in-memory fallback — the contraction hierarchy when the
-//! service holds one, else Dijkstra — and tagged degraded: the *answers*
-//! never change, only the counters do.
+//! exactly by the epoch's in-memory label oracle and tagged degraded: the
+//! *answers* never change, only the counters do.
 //!
 //! The fault seed honours `DSI_FAULT_SEED` so CI can re-run the suite
 //! under a matrix of fixed seeds; the session decode path honours
 //! `DSI_ENTRY_DECODE` (`on`/`off`/`auto`) so the same matrix covers both
-//! the entry-granular and the full-decode read paths; the fallback
-//! engine honours `DSI_CH_FALLBACK` (`on`/`off`) so the matrix covers both
-//! rungs of the degradation ladder; `DSI_MAINT=double-buffer` scales up
-//! the concurrent-maintenance-under-faults cell; and `DSI_BACKEND=hl`
-//! replays every served batch on the memory-resident hub-label backend and
-//! asserts it agrees with the paged answers (see `scripts/ci.sh`).
+//! the entry-granular and the full-decode read paths;
+//! `DSI_MAINT=double-buffer` scales up the concurrent-maintenance-under-
+//! faults cell; and `DSI_BACKEND=hl` replays every served batch on the
+//! memory-resident hub-label backend and asserts it agrees with the paged
+//! answers (see `scripts/ci.sh`).
 
 use dsi_graph::generate::{random_planar, PlanarConfig};
 use dsi_graph::{sssp, ObjectSet};
@@ -37,10 +35,6 @@ fn entry_mode() -> EntryDecodeMode {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or_default()
-}
-
-fn ch_fallback() -> bool {
-    std::env::var("DSI_CH_FALLBACK").map_or(true, |s| s != "off")
 }
 
 fn partitions() -> usize {
@@ -111,7 +105,7 @@ fn serve(service: &QueryService, batch: &[Query], workers: usize) -> dsi_service
     };
     let epoch_before = service.epoch();
     let report = service.serve_batch_on(backend, batch, workers);
-    if hl_crosscheck() && service.has_hub_labels() {
+    if hl_crosscheck() {
         let hl = service.serve_batch_on(Backend::HubLabel, batch, workers);
         if service.epoch() == epoch_before {
             assert!(hl.ops.label_lookups > 0, "hl replay read no labels");
@@ -142,10 +136,10 @@ fn serve(service: &QueryService, batch: &[Query], workers: usize) -> dsi_service
 /// therefore fault) stream busy. `retry_budget: 1` makes degradation
 /// reachable without a pathological fault rate.
 fn build(plan: FaultPlan) -> QueryService {
-    build_with(plan, entry_mode(), ch_fallback())
+    build_with(plan, entry_mode())
 }
 
-fn build_with(plan: FaultPlan, entry_decode: EntryDecodeMode, hierarchy: bool) -> QueryService {
+fn build_with(plan: FaultPlan, entry_decode: EntryDecodeMode) -> QueryService {
     let mut rng = StdRng::seed_from_u64(7);
     let net = random_planar(
         &PlanarConfig {
@@ -170,7 +164,6 @@ fn build_with(plan: FaultPlan, entry_decode: EntryDecodeMode, hierarchy: bool) -
             fault_plan: plan,
             retry_budget: 1,
             entry_decode,
-            hierarchy,
             partitions: partitions(),
             store: store_mode(),
             readahead: readahead(),
@@ -230,7 +223,7 @@ fn faulty_run_matches_fault_free_element_wise() {
 
     // Whether a marginal fault rate pushes some query past its retry budget
     // depends on the exact page-access sequence, which shifts with the
-    // matrix axes (fault seed × decode path × degradation target). Escalate
+    // matrix axes (fault seed × decode path × partitions × store). Escalate
     // until the ladder's top rung actually fires so every cell checks the
     // same end-to-end property, not a rate tuned for one configuration.
     let mut rate = 0.01;
@@ -307,46 +300,32 @@ fn sustained_faults_quarantine_shards_without_changing_answers() {
 }
 
 #[test]
-fn degradation_prefers_the_hierarchy_then_dijkstra() {
-    // The ladder past the retry budget: with a hierarchy configured, every
-    // degraded query is answered by the memory-resident oracle (it cannot
-    // re-trip the injected storage faults); with hierarchy off, the same
-    // queries land on the Dijkstra rung. Both rungs are exact, so both runs
-    // stay element-wise identical to the fault-free answers.
+fn degraded_queries_are_answered_by_the_label_oracle() {
+    // The ladder past the retry budget: every degraded query is answered by
+    // the epoch's memory-resident label oracle, which cannot re-trip the
+    // injected storage faults, so the run stays element-wise identical to
+    // the fault-free answers. The lifetime counter counts each degraded
+    // query once — a sharded join degrading in several partitions included.
     let plan = FaultPlan::failures(fault_seed() ^ 0xC4, 0.05, 0.0);
-    let clean = build_with(FaultPlan::none(), entry_mode(), true);
-    let with_ch = build_with(plan, entry_mode(), true);
-    let without_ch = build_with(plan, entry_mode(), false);
+    let clean = build(FaultPlan::none());
+    let faulty = build(plan);
     let batch = drop_knn_cut_ties(&clean, mixed_batch(&clean, 600));
 
     let want = serve(&clean, &batch, 4);
-    let got_ch = serve(&with_ch, &batch, 4);
-    let got_dij = serve(&without_ch, &batch, 4);
+    let got = serve(&faulty, &batch, 4);
     for (i, q) in batch.iter().enumerate() {
         assert_eq!(
-            want.outputs[i], got_ch.outputs[i],
-            "query {i} ({q:?}) diverged on the hierarchy rung"
-        );
-        assert_eq!(
-            want.outputs[i], got_dij.outputs[i],
-            "query {i} ({q:?}) diverged on the Dijkstra rung"
+            want.outputs[i], got.outputs[i],
+            "query {i} ({q:?}) diverged on the label rung"
         );
     }
-    assert!(got_ch.ops.degraded > 0, "ladder never reached the fallback");
+    assert!(got.ops.degraded > 0, "ladder never reached the fallback");
     assert_eq!(
-        with_ch.hierarchy_fallback_count(),
-        got_ch.ops.degraded,
-        "with a hierarchy, every degraded query must be answered by it"
+        faulty.hierarchy_fallback_count(),
+        got.degraded_count() as u64,
+        "every degraded query is answered by the labels, and counted once"
     );
-    assert!(
-        got_dij.ops.degraded > 0,
-        "ladder never reached the fallback"
-    );
-    assert_eq!(
-        without_ch.hierarchy_fallback_count(),
-        0,
-        "no hierarchy configured, yet the counter moved"
-    );
+    assert_eq!(clean.hierarchy_fallback_count(), 0);
 }
 
 #[test]
@@ -377,7 +356,6 @@ fn faults_in_one_partition_quarantine_only_that_shard() {
                 fault_plan: plan,
                 retry_budget: 1,
                 entry_decode: entry_mode(),
-                hierarchy: ch_fallback(),
                 partitions: 4,
                 store: store_mode(),
                 readahead: readahead(),
@@ -442,8 +420,8 @@ fn entry_decode_on_and_off_answer_identically() {
     // The A/B pair behind `workload --entry-decode`: the entry-granular
     // path and the legacy full-decode path must be element-wise equal on a
     // mixed batch, fault-free and under the same logical page accounting.
-    let on = build_with(FaultPlan::none(), EntryDecodeMode::On, ch_fallback());
-    let off = build_with(FaultPlan::none(), EntryDecodeMode::Off, ch_fallback());
+    let on = build_with(FaultPlan::none(), EntryDecodeMode::On);
+    let off = build_with(FaultPlan::none(), EntryDecodeMode::Off);
     let batch = mixed_batch(&on, 600);
 
     let got_on = serve(&on, &batch, 4);
@@ -476,8 +454,8 @@ fn concurrent_maintenance_under_faults_stays_exact() {
     // update batches publish epochs *while* a faulty service answers
     // queries. Every concurrent batch must equal the fault-free answers on
     // one of the serialized states S0..Sn — degraded queries included
-    // (both rungs of the fallback ladder run on the batch's pinned epoch,
-    // so even a mid-swap degradation stays on one consistent state). The
+    // (the label oracle they fall back to is the batch's pinned epoch's, so
+    // even a mid-swap degradation stays on one consistent state). The
     // `DSI_MAINT=double-buffer` CI axis re-runs this cell across the fault
     // seed / decode / partition matrix with more reader rounds.
     let deep = std::env::var("DSI_MAINT").is_ok_and(|s| s == "double-buffer");

@@ -20,9 +20,25 @@ pub struct RangeAggregate {
 }
 
 impl RangeAggregate {
+    /// Fold one qualifying object's exact distance in.
+    pub fn add(&mut self, d: Dist) {
+        self.count += 1;
+        self.sum += d as u64;
+        self.min = Some(self.min.map_or(d, |m| m.min(d)));
+        self.max = Some(self.max.map_or(d, |m| m.max(d)));
+    }
+
     /// Mean distance, if any objects qualified.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
+    }
+}
+
+impl FromIterator<Dist> for RangeAggregate {
+    fn from_iter<I: IntoIterator<Item = Dist>>(dists: I) -> Self {
+        let mut agg = RangeAggregate::default();
+        dists.into_iter().for_each(|d| agg.add(d));
+        agg
     }
 }
 
@@ -42,11 +58,7 @@ pub fn try_aggregate_within(
     let members = try_range_query(sess, n, eps)?;
     let mut agg = RangeAggregate::default();
     for o in members {
-        let d = sess.try_retrieve_exact(n, o)?;
-        agg.count += 1;
-        agg.sum += d as u64;
-        agg.min = Some(agg.min.map_or(d, |m| m.min(d)));
-        agg.max = Some(agg.max.map_or(d, |m| m.max(d)));
+        agg.add(sess.try_retrieve_exact(n, o)?);
     }
     Ok(agg)
 }
@@ -131,5 +143,23 @@ mod tests {
             max: Some(4),
         };
         assert_eq!(agg.mean(), Some(2.5));
+    }
+
+    #[test]
+    fn collecting_distances_folds_every_field() {
+        let agg: RangeAggregate = [3, 1, 4, 2].into_iter().collect();
+        assert_eq!(
+            agg,
+            RangeAggregate {
+                count: 4,
+                sum: 10,
+                min: Some(1),
+                max: Some(4),
+            }
+        );
+        assert_eq!(
+            std::iter::empty().collect::<RangeAggregate>(),
+            RangeAggregate::default()
+        );
     }
 }

@@ -32,18 +32,15 @@ cargo bench --workspace --no-run
 echo "== fault matrix (service equivalence under injected storage faults) =="
 # Re-run the dsi-service fault suite under a matrix of fixed fault seeds
 # crossed with both signature read paths (entry-granular decode on and
-# off) and both degradation targets (hierarchy-first fallback on, or
-# forced straight to Dijkstra): the answers must stay element-wise
-# identical to a fault-free run no matter which deterministic fault
-# schedule fires, which decode path serves the queries, or which exact
-# backend absorbs the degraded ones.
+# off): the answers must stay element-wise identical to a fault-free run
+# no matter which deterministic fault schedule fires or which decode path
+# serves the queries, and every degraded query is absorbed by the epoch's
+# label oracle — the ladder's one in-memory rung.
 for seed in 1 2 3; do
     for decode in on off; do
-        for chfb in on off; do
-            echo "-- DSI_FAULT_SEED=$seed DSI_ENTRY_DECODE=$decode DSI_CH_FALLBACK=$chfb --"
-            DSI_FAULT_SEED=$seed DSI_ENTRY_DECODE=$decode DSI_CH_FALLBACK=$chfb \
-                cargo test -q -p dsi-service --test faults
-        done
+        echo "-- DSI_FAULT_SEED=$seed DSI_ENTRY_DECODE=$decode --"
+        DSI_FAULT_SEED=$seed DSI_ENTRY_DECODE=$decode \
+            cargo test -q -p dsi-service --test faults
     done
 done
 

@@ -1,0 +1,151 @@
+//! Every backend of the query service, through `QueryService`, on one
+//! fixture: the signature index, the shard router over three partitions,
+//! and the three in-memory oracles (Dijkstra, hierarchy, hub labels) answer
+//! a mixed batch — with k = 0, k past |objects|, ε = 0, ε = ∞ and an
+//! unbounded join among its queries — element-wise equal to
+//! `Backend::Dijkstra`. A second cell fails every physical read: every
+//! query then degrades onto the label oracle, the answers do not move, and
+//! the service's lifetime degraded count equals the batch's.
+
+use distance_signature::graph::generate::{random_planar, PlanarConfig};
+use distance_signature::graph::{ObjectSet, INFINITY};
+use distance_signature::service::{
+    generate, Backend, Query, QueryOutput, QueryService, ServiceConfig, WorkloadConfig, WorkloadMix,
+};
+use distance_signature::signature::{KnnResult, SignatureConfig};
+use distance_signature::storage::FaultPlan;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const PARTITIONS: usize = 3;
+
+fn service(fault_plan: FaultPlan) -> QueryService {
+    let mut rng = StdRng::seed_from_u64(1957);
+    let net = random_planar(
+        &PlanarConfig {
+            num_nodes: 300,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    let objects = ObjectSet::uniform(&net, 0.05, &mut rng);
+    QueryService::new(
+        net,
+        objects,
+        &SignatureConfig::default(),
+        &ServiceConfig {
+            shards: 4,
+            partitions: PARTITIONS,
+            fault_plan,
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+/// A generated mix plus the edge cases: k = 0 and k past |objects|, ε = 0
+/// and ε = ∞ for range and aggregate, and a join at ε = ∞.
+fn batch(service: &QueryService) -> Vec<Query> {
+    let n = service.objects().len();
+    let mut batch = generate(
+        &service.net(),
+        &WorkloadConfig {
+            mix: WorkloadMix {
+                join: 2,
+                ..Default::default()
+            },
+            eps_range: (0, 40),
+            k_range: (1, n),
+            join_eps: 15,
+            count: 60,
+            seed: 29,
+            ..Default::default()
+        },
+    );
+    for node in [0, 97, 211].map(distance_signature::graph::NodeId) {
+        for eps in [0, INFINITY] {
+            batch.push(Query::Range { node, eps });
+            batch.push(Query::Aggregate { node, eps });
+        }
+        for k in [0, n + 3] {
+            batch.push(Query::Knn { node, k });
+        }
+    }
+    batch.push(Query::Join { eps: INFINITY });
+    batch
+}
+
+/// kNN answers are unique only up to ties at the k-th distance: the
+/// distance profiles must match, and the objects strictly below the cut.
+fn assert_knn_tie_equal(got: &[KnnResult], want: &[KnnResult], ctx: &str) {
+    let dists = |rs: &[KnnResult]| rs.iter().map(|r| r.dist).collect::<Vec<_>>();
+    assert_eq!(dists(got), dists(want), "{ctx}: distance profile");
+    let kth = want.last().and_then(|r| r.dist);
+    let below = |rs: &[KnnResult]| {
+        let mut os: Vec<_> = rs
+            .iter()
+            .filter(|r| r.dist < kth)
+            .map(|r| r.object)
+            .collect();
+        os.sort_unstable();
+        os
+    };
+    assert_eq!(below(got), below(want), "{ctx}: objects below the cut");
+}
+
+#[test]
+fn every_backend_answers_like_dijkstra() {
+    let service = service(FaultPlan::none());
+    assert_eq!(service.num_partitions(), PARTITIONS);
+    let batch = batch(&service);
+    let truth = service.serve_batch_on(Backend::Dijkstra, &batch, 2);
+    for backend in [
+        Backend::Signature,
+        Backend::Sharded,
+        Backend::Hierarchy,
+        Backend::HubLabel,
+    ] {
+        let got = service.serve_batch_on(backend, &batch, 2);
+        assert_eq!(got.degraded_count() + got.shed, 0, "{backend:?}");
+        let paged = matches!(backend, Backend::Signature | Backend::Sharded);
+        for (i, (a, b)) in got.outputs.iter().zip(&truth.outputs).enumerate() {
+            let ctx = format!("{backend:?}, query {i} ({:?})", batch[i]);
+            match (a, b) {
+                (QueryOutput::Knn(a), QueryOutput::Knn(b)) if paged => {
+                    assert_knn_tie_equal(a, b, &ctx)
+                }
+                _ => assert_eq!(a, b, "{ctx}"),
+            }
+        }
+    }
+    assert_eq!(service.hierarchy_fallback_count(), 0);
+}
+
+#[test]
+fn every_query_degrades_onto_the_labels_and_is_counted_once() {
+    let clean = service(FaultPlan::none());
+    let faulty = service(FaultPlan::failures(7, 1.0, 0.0));
+    let batch = batch(&clean);
+    let truth = clean.serve_batch_on(Backend::Dijkstra, &batch, 2);
+    let got = faulty.serve_batch_on(Backend::Sharded, &batch, 2);
+
+    assert_eq!(
+        got.degraded_count(),
+        batch.len(),
+        "a query took the fast path"
+    );
+    for (i, (a, b)) in got.outputs.iter().zip(&truth.outputs).enumerate() {
+        assert_eq!(a, b, "degraded query {i} ({:?})", batch[i]);
+    }
+    // Each partition notes its own degradation: a join degrades in all
+    // three, every point query in its home partition only.
+    let joins = batch
+        .iter()
+        .filter(|q| matches!(q, Query::Join { .. }))
+        .count();
+    assert_eq!(
+        got.ops.degraded,
+        (batch.len() - joins + PARTITIONS * joins) as u64
+    );
+    // The lifetime counter counts queries, not partitions.
+    assert_eq!(faulty.hierarchy_fallback_count(), batch.len() as u64);
+}
