@@ -83,6 +83,29 @@ impl RoadNetwork {
         self.weight_bound
     }
 
+    /// Whether every node reaches every other over finite-weight edges
+    /// (one traversal from node 0; removed edges do not count).
+    pub fn is_connected(&self) -> bool {
+        let n = self.num_nodes();
+        if n == 0 {
+            return true;
+        }
+        let mut seen = vec![false; n];
+        let mut stack = vec![NodeId(0)];
+        seen[0] = true;
+        let mut reached = 1;
+        while let Some(u) = stack.pop() {
+            for (_, v, w) in self.neighbors(u) {
+                if w != INFINITY && !seen[v.index()] {
+                    seen[v.index()] = true;
+                    reached += 1;
+                    stack.push(v);
+                }
+            }
+        }
+        reached == n
+    }
+
     /// Planar coordinate of `n`.
     #[inline]
     pub fn coord(&self, n: NodeId) -> Point {

@@ -23,29 +23,29 @@
 //! snapshot: every query in the batch observes one consistent index state
 //! end-to-end, no matter what maintenance does meanwhile.
 //!
-//! [`QueryService::apply_updates`] now takes `&self`: it journals the
-//! updates, patches a *canonical* mutable copy of the state (held apart
-//! from any epoch, under the maintenance mutex), then constructs the next
-//! epoch off to the side — clone-and-patch for the signature index, a
-//! *repair* of the hierarchy and hub labels the last epoch shipped
+//! [`QueryService::apply_updates`] takes `&self`. Under the maintenance
+//! mutex it only validates the batch, journals it and patches the
+//! acknowledged network, logging every re-weighting since the live epoch.
+//! Then, **with the lock dropped** — further update batches keep landing
+//! while the shadow epoch builds — it derives the next epoch from the live
+//! one: a *repair* of the hierarchy and hub labels
 //! ([`ContractionHierarchy::repaired`], [`HubLabels::repaired`]: the order
 //! is kept, only what the logged re-weightings could have changed is
-//! redone), a wholesale partition rebuild — **with the maintenance lock
-//! dropped**, so further update batches keep landing while the shadow epoch
-//! builds. The canonical state remembers which oracle is current and every
-//! re-weighting acknowledged since, so a builder that snapshotted behind a
-//! racing writer repairs from its own snapshot and the writer that swaps
-//! its epoch in installs its oracle as the next base. A bounded catch-up
-//! loop re-checks for updates that arrived during the build (retry with
-//! backoff, then cede to the fresher writer), and the finished epoch is
-//! published with an atomic swap (`Arc` flip + epoch bump). Readers never
-//! block on maintenance; at worst they keep answering from the previous
-//! epoch — the PR 3 degradation discipline, now applied to staleness: every
-//! answer is element-wise equal to *some* single serialized order of update
-//! batches. Every publish
+//! redone); the signature index cloned and patched from the old and the
+//! new labels ([`update_from_labels`]: the changed distances grown from the
+//! re-weighted edges' endpoints, links re-derived around them — one change
+//! feed, no spanning forest); a wholesale partition rebuild. A builder that
+//! snapshotted behind a racing writer repairs from its own snapshot of the
+//! live epoch and the log, and the writer that swaps its epoch in empties
+//! the log. A bounded catch-up loop re-checks for updates that arrived
+//! during the build (retry with backoff, then cede to the fresher writer),
+//! and the finished epoch is published with an atomic swap (`Arc` flip +
+//! epoch bump). Readers never block on maintenance; at worst they keep
+//! answering from the previous epoch — every answer is element-wise equal
+//! to *some* single serialized order of update batches. Every publish
 //! leaves a [`PublishProfile`] behind — the wall time of its maintain /
-//! hierarchy / labels / partitions / pages+swap phases and how many nodes
-//! were re-contracted and re-labelled — readable through
+//! hierarchy / labels / signature / partitions / pages+swap phases and how
+//! many nodes were re-contracted and re-labelled — readable through
 //! [`QueryService::last_publish_profile`] and printed by
 //! [`QueryService::stats_dump`].
 //!
@@ -110,15 +110,15 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use dsi_graph::io::{load_network, read_objects, write_network, write_objects, LoadError};
-use dsi_graph::{Dist, NodeId, ObjectId, ObjectSet, RoadNetwork};
+use dsi_graph::{Dist, NodeId, ObjectId, ObjectSet, RoadNetwork, INFINITY};
 use dsi_hierarchy::{ChConfig, ContractionHierarchy, HubLabels, LabelBuckets};
 use dsi_partition::PartitionedIndex;
 use dsi_signature::query::aggregate::RangeAggregate;
 use dsi_signature::query::join::try_self_epsilon_join;
-use dsi_signature::update::UpdateReport;
+use dsi_signature::update::{update_from_labels, UpdateReport};
 use dsi_signature::{
     EntryDecodeMode, KnnResult, KnnType, OpResult, OpStats, Session, SessionState, SignatureConfig,
-    SignatureIndex, SignatureMaintainer,
+    SignatureIndex,
 };
 use dsi_storage::{FaultPlan, IoStats, PageFile, StoreMode, Striped, PAGE_SIZE};
 
@@ -481,15 +481,15 @@ impl EpochIndex {
     }
 }
 
-/// The canonical mutable state behind the maintenance mutex: the copy the
-/// maintainer patches incrementally, from which shadow epochs are cloned.
-/// Epochs published to readers are immutable snapshots of this.
+/// The maintenance state behind the mutex: the acknowledged network and
+/// what separates it from the live epoch. Everything else a shadow epoch
+/// needs — the signature index and the oracle it repairs — it takes from
+/// the live epoch, which only a holder of this mutex swaps.
 struct MaintState {
+    /// The network with every acknowledged batch applied.
     net: RoadNetwork,
-    index: SignatureIndex,
-    maint: SignatureMaintainer,
-    /// Update batches applied to the canonical state so far (process-local;
-    /// the shadow builder uses it to detect falling behind).
+    /// Update batches acknowledged so far (process-local; the shadow
+    /// builder uses it to detect falling behind).
     seq: u64,
     /// Highest `seq` whose epoch has been published (or claimed by a
     /// publishing writer) — prevents double-publishing one state.
@@ -498,13 +498,13 @@ struct MaintState {
     /// attached.
     wal: Option<UpdateJournal>,
     log_dir: Option<PathBuf>,
-    /// The distance oracle of the last epoch swapped in: what the next
-    /// publish repairs instead of rebuilding.
-    oracle: Oracle,
-    /// Every edge re-weighting acknowledged since `oracle` was current, as
-    /// `(a, b, weight before)`, oldest first — what separates the network
-    /// `oracle` answers for from `net`. A publish swaps at `seq` exactly, so
-    /// installing its oracle empties the log.
+    /// Journal records the live epoch's state covers: what
+    /// [`QueryService::checkpoint`] records beside it.
+    live_journal_len: u64,
+    /// Every edge re-weighting acknowledged since the live epoch was
+    /// swapped in, as `(a, b, weight before)`, oldest first — what separates
+    /// the network the live epoch serves from `net`. A publish swaps at
+    /// `seq` exactly, so swapping its epoch in empties the log.
     reweighted: Vec<(NodeId, NodeId, Dist)>,
     /// Phase timings of the last publish that swapped an epoch in.
     last_publish: PublishProfile,
@@ -524,17 +524,19 @@ struct Oracle {
 /// [`QueryService::last_publish_profile`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PublishProfile {
-    /// Journal append plus the incremental patch of the canonical state:
-    /// spanning-forest repair and signature re-encoding, every edge of the
-    /// batch.
+    /// The part under the maintenance lock: validating the batch, the
+    /// journal append and patching the acknowledged network.
     pub maintain: Duration,
     /// Contraction-hierarchy repair.
     pub hierarchy: Duration,
     /// Hub-label repair over that hierarchy plus the object buckets.
     pub labels: Duration,
+    /// Signature repair from the old and the new labels: the index clone,
+    /// the changed distances and links, re-encoding.
+    pub signature: Duration,
     /// Partitioned-index rebuild (zero unless sharded).
     pub partitions: Duration,
-    /// Everything else: the canonical-state snapshot the build works from,
+    /// Everything else: the snapshot of the network the build works from,
     /// the crash-safe publish protocol's files, the page image, the swap.
     pub pages_swap: Duration,
     /// Nodes the hierarchy repair contracted afresh (the rest replayed
@@ -549,7 +551,12 @@ pub struct PublishProfile {
 impl PublishProfile {
     /// Sum of the phases: the publish's wall time.
     pub fn total(&self) -> Duration {
-        self.maintain + self.hierarchy + self.labels + self.partitions + self.pages_swap
+        self.maintain
+            + self.hierarchy
+            + self.labels
+            + self.signature
+            + self.partitions
+            + self.pages_swap
     }
 }
 
@@ -558,12 +565,14 @@ impl std::fmt::Display for PublishProfile {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         write!(
             f,
-            "{:.1} ms: maintain {:.1}, hierarchy {:.1}, labels {:.1}, partitions {:.1}, pages+swap {:.1}; \
+            "{:.1} ms: maintain {:.1}, hierarchy {:.1}, labels {:.1}, signature {:.1}, \
+             partitions {:.1}, pages+swap {:.1}; \
              {} nodes recontracted, {} labels rebuilt ({} changed)",
             ms(self.total()),
             ms(self.maintain),
             ms(self.hierarchy),
             ms(self.labels),
+            ms(self.signature),
             ms(self.partitions),
             ms(self.pages_swap),
             self.ch_recontracted,
@@ -581,26 +590,13 @@ fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The cloned snapshot a shadow epoch is built from.
+/// The snapshot a shadow epoch is built from: the acknowledged network,
+/// the live epoch it derives from, and the re-weightings between the two.
 struct ShadowState {
     seq: u64,
     net: Arc<RoadNetwork>,
-    index: Arc<SignatureIndex>,
-    /// The oracle to repair and the re-weightings that outdated it.
-    oracle: Oracle,
+    base: Arc<EpochIndex>,
     reweighted: Vec<(NodeId, NodeId, Dist)>,
-}
-
-impl ShadowState {
-    fn of(m: &MaintState) -> Self {
-        ShadowState {
-            seq: m.seq,
-            net: Arc::new(m.net.clone()),
-            index: Arc::new(m.index.clone()),
-            oracle: m.oracle.clone(),
-            reweighted: m.reweighted.clone(),
-        }
-    }
 }
 
 /// Boundaries of the crash-safe publish protocol where test instrumentation
@@ -618,7 +614,7 @@ pub enum PublishKillPoint {
 
 /// Thread-safe query engine over one road network + object set.
 ///
-/// Owns the live [`EpochIndex`] plus the canonical maintenance state;
+/// Owns the live [`EpochIndex`] plus the maintenance state;
 /// serves read batches against pinned epoch snapshots and applies edge
 /// updates concurrently through double-buffered epoch construction (see
 /// module docs).
@@ -703,9 +699,9 @@ impl QueryService {
     }
 
     /// Wrap an already-built index (e.g. one loaded from a checkpoint) in a
-    /// service. The maintainer's spanning forest and the contraction
-    /// hierarchy are rebuilt from `net`, so `index` must be consistent with
-    /// `net`/`objects` as given. Partitioned indexes (when
+    /// service. The contraction hierarchy and its labels are built from
+    /// `net`, and every publish repairs `index` from them, so `index` must
+    /// be consistent with `net`/`objects` as given. Partitioned indexes (when
     /// [`ServiceConfig::partitions`] > 1) are built with the default
     /// signature configuration; build through [`Self::new`] (or
     /// [`Self::recover`]) to carry a custom one.
@@ -728,12 +724,10 @@ impl QueryService {
         sig: SignatureConfig,
         epoch: u64,
     ) -> Self {
-        let maint = SignatureMaintainer::new(&net, &objects);
         let objects = Arc::new(objects);
         let parted = (cfg.partitions > 1)
             .then(|| PartitionedEngine::build(&net, &objects, &sig, cfg.partitions));
         let net_arc = Arc::new(net.clone());
-        let index_arc = Arc::new(index.clone());
         let pages = EpochPages::materialize(cfg.store, epoch, &net, &index, parted.as_ref());
         // The labels ride on the hierarchy: one extraction pass here backs
         // the hub-label backend and the fault ladder's in-memory rung.
@@ -745,9 +739,9 @@ impl QueryService {
             epoch,
             net: net_arc,
             objects: objects.clone(),
-            index: index_arc,
+            index: Arc::new(index),
             buckets: oracle.hl.buckets(objects.host_nodes()),
-            oracle: oracle.clone(),
+            oracle,
             parted,
             shards: Striped::new(cfg.shards, |_| Stripe::default()),
             pages,
@@ -758,13 +752,11 @@ impl QueryService {
             objects,
             maint: Mutex::new(MaintState {
                 net,
-                index,
-                maint,
                 seq: 0,
                 published_seq: 0,
                 wal: None,
                 log_dir: None,
-                oracle,
+                live_journal_len: 0,
                 reweighted: Vec::new(),
                 last_publish: PublishProfile::default(),
             }),
@@ -1218,16 +1210,19 @@ impl QueryService {
     ///
     /// Three phases (see module docs):
     ///
-    /// 1. **Acknowledge** (brief maintenance lock): journal the updates,
-    ///    patch the canonical mutable state incrementally, snapshot it.
-    ///    A journal failure aborts here — the canonical state is left
-    ///    untouched and the service keeps serving its pre-update epochs —
-    ///    and so does a batch naming an edge the network does not have
-    ///    (`ErrorKind::InvalidInput`, checked before anything is journaled).
+    /// 1. **Acknowledge** (brief maintenance lock): validate the batch,
+    ///    journal it, patch the acknowledged network, snapshot it with the
+    ///    live epoch. A journal failure aborts here — nothing is patched and
+    ///    the service keeps serving its pre-update epochs — and so does a
+    ///    batch naming an edge the network does not have, or closing edges
+    ///    (weight [`dsi_graph::INFINITY`]) so that some node can no longer
+    ///    reach every other (`ErrorKind::InvalidInput`, checked before
+    ///    anything is journaled).
     /// 2. **Build** (no locks): construct the shadow epoch from the
-    ///    snapshot — hierarchy and label repair, wholesale partition
-    ///    rebuild — while readers keep serving the live epoch and further
-    ///    update batches keep acknowledging.
+    ///    snapshot — hierarchy and label repair, the signature index
+    ///    patched from the old and new labels, wholesale partition rebuild
+    ///    — while readers keep serving the live epoch and further update
+    ///    batches keep acknowledging.
     /// 3. **Publish** (bounded catch-up): if newer batches landed
     ///    mid-build, re-snapshot and rebuild (with backoff) up to
     ///    [`CATCHUP_ROUNDS`]; then run the crash-safe publish protocol and
@@ -1238,18 +1233,21 @@ impl QueryService {
     /// On success the published (or superseding) epoch reflects these
     /// updates; an `Err` past phase 1 means the updates are durable and
     /// applied but the publish protocol hit an I/O failure — recovery
-    /// replays them.
+    /// replays them. The reports are those of the last shadow build this
+    /// call ran (a catch-up round re-derives every re-weighting since the
+    /// live epoch, other writers' included, and charges each to its own
+    /// update).
     pub fn try_apply_updates(&self, updates: &[EdgeUpdate]) -> io::Result<Vec<UpdateReport>> {
         if updates.is_empty() {
             return Ok(Vec::new());
         }
         let mut profile = PublishProfile::default();
-        let (reports, shadow) = {
+        let (mine, shadow) = {
             let mut m = self.maint.lock().expect("maint lock");
             let t = Instant::now();
             // Nothing is journaled or patched unless the whole batch names
-            // edges of the network: a record that cannot be applied would
-            // fail again on every replay.
+            // edges of the network and leaves it connected: a record that
+            // cannot be applied would fail again on every replay.
             if let Some(&(a, b, _)) = updates.iter().find(|&&(a, b, _)| {
                 a.index() >= m.net.num_nodes() || m.net.edge_weight(a, b).is_none()
             }) {
@@ -1258,31 +1256,44 @@ impl QueryService {
                     format!("update of edge ({a}, {b}): the nodes are not adjacent"),
                 ));
             }
+            if updates.iter().any(|&(_, _, w)| w == INFINITY) {
+                let mut probe = m.net.clone();
+                for &(a, b, w) in updates {
+                    probe.set_edge_weight(a, b, w);
+                }
+                if !probe.is_connected() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        "the batch closes edges the network cannot do without: it would disconnect",
+                    ));
+                }
+            }
             if let Some(wal) = m.wal.as_mut() {
                 wal.append(updates)?;
             }
-            let reports = updates
-                .iter()
-                .map(|&(a, b, w)| {
-                    let MaintState {
-                        net,
-                        index,
-                        maint,
-                        reweighted,
-                        ..
-                    } = &mut *m;
-                    let was = net.edge_weight(a, b).expect("batch validated above");
-                    reweighted.push((a, b, was));
-                    maint.update_edge(net, index, a, b, w)
-                })
-                .collect();
+            let start = m.reweighted.len();
+            for &(a, b, w) in updates {
+                let was = m.net.set_edge_weight(a, b, w);
+                m.reweighted.push((a, b, was));
+            }
             m.seq += 1;
             profile.maintain = t.elapsed();
-            let shadow = timed(&mut profile.pages_swap, || ShadowState::of(&m));
-            (reports, shadow)
+            let shadow = timed(&mut profile.pages_swap, || self.shadow(&m));
+            (start..start + updates.len(), shadow)
         };
-        self.build_and_publish(shadow, profile)?;
-        Ok(reports)
+        self.build_and_publish(shadow, profile, mine)
+    }
+
+    /// Snapshot the acknowledged network, the live epoch and the log
+    /// between them (the caller holds the maintenance lock, so the live
+    /// epoch cannot move meanwhile).
+    fn shadow(&self, m: &MaintState) -> ShadowState {
+        ShadowState {
+            seq: m.seq,
+            net: Arc::new(m.net.clone()),
+            base: self.snapshot(),
+            reweighted: m.reweighted.clone(),
+        }
     }
 
     /// Phase 2+3 of maintenance: build the shadow epoch off to the side,
@@ -1290,15 +1301,18 @@ impl QueryService {
     /// `profile` arrives holding the time phase 1 took and leaves in
     /// `MaintState::last_publish` when this call swaps an epoch in
     /// (build phases and work counts accumulate over catch-up rounds).
+    /// Returns the reports of the caller's updates, `mine` in the log.
     fn build_and_publish(
         &self,
         mut shadow: ShadowState,
         mut profile: PublishProfile,
-    ) -> io::Result<()> {
+        mine: std::ops::Range<usize>,
+    ) -> io::Result<Vec<UpdateReport>> {
         for round in 0..CATCHUP_ROUNDS {
             // The expensive work happens with no lock held: readers serve the
-            // live epoch, writers acknowledge into the canonical state.
-            let was = &shadow.oracle;
+            // live epoch, writers acknowledge into the maintenance state.
+            let base = &shadow.base;
+            let was = &base.oracle;
             let (ch, recontracted) = timed(&mut profile.hierarchy, || {
                 was.ch.repaired(&shadow.net, &shadow.reweighted)
             });
@@ -1313,6 +1327,21 @@ impl QueryService {
             let buckets = timed(&mut profile.labels, || {
                 oracle.hl.buckets(self.objects.host_nodes())
             });
+            // The signature follows the labels: one change feed.
+            let (index, mut reports) = timed(&mut profile.signature, || {
+                let mut index = SignatureIndex::clone(&base.index);
+                let edges: Vec<(NodeId, NodeId)> =
+                    shadow.reweighted.iter().map(|&(a, b, _)| (a, b)).collect();
+                let reports = update_from_labels(
+                    &mut index,
+                    &shadow.net,
+                    (&was.hl, &base.buckets),
+                    (&oracle.hl, &buckets),
+                    &edges,
+                );
+                (Arc::new(index), reports)
+            });
+            let reports: Vec<UpdateReport> = reports.drain(mine.clone()).collect();
             let parted = (self.partitions > 1).then(|| {
                 timed(&mut profile.partitions, || {
                     PartitionedEngine::build(&shadow.net, &self.objects, &self.sig, self.partitions)
@@ -1325,7 +1354,7 @@ impl QueryService {
                 // A fresher writer already published an epoch containing
                 // this batch (its snapshot was taken after ours was
                 // acknowledged). Nothing to do.
-                return Ok(());
+                return Ok(reports);
             }
             if m.seq != shadow.seq {
                 // Batches landed while we built: re-snapshot and retry.
@@ -1335,9 +1364,9 @@ impl QueryService {
                     // whose updates superseded ours. Readers stay on the
                     // old epoch (stale-but-consistent) until it lands.
                     self.publish_cedes.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
+                    return Ok(reports);
                 }
-                shadow = timed(&mut profile.pages_swap, || ShadowState::of(&m));
+                shadow = timed(&mut profile.pages_swap, || self.shadow(&m));
                 drop(m);
                 std::thread::sleep(Duration::from_micros(100 << round.min(6)));
                 continue;
@@ -1347,27 +1376,28 @@ impl QueryService {
 
             // Crash-safe publish protocol (only when a maintenance log is
             // attached): intent → checkpoint rename → done, each synced.
-            let protocol = self.publish_files(&mut m, next_epoch);
-            if let Err(e) = &protocol {
-                if e.kind() == io::ErrorKind::Interrupted {
-                    // Armed kill point: simulate the crash — no swap.
-                    return protocol;
-                }
+            let protocol = self.publish_files(&mut m, next_epoch, &shadow.net, &index);
+            if protocol
+                .as_ref()
+                .is_err_and(|e| e.kind() == io::ErrorKind::Interrupted)
+            {
+                // Armed kill point: simulate the crash — no swap.
+                return protocol.map(|()| reports);
             }
 
             let pages = EpochPages::materialize(
                 self.store,
                 next_epoch,
                 &shadow.net,
-                &shadow.index,
+                &index,
                 parted.as_ref(),
             );
             let ep = Arc::new(EpochIndex {
                 epoch: next_epoch,
                 net: shadow.net,
                 objects: self.objects.clone(),
-                index: shadow.index,
-                oracle: oracle.clone(),
+                index,
+                oracle,
                 buckets,
                 parted,
                 shards: Striped::new(self.num_shards, |_| Stripe::default()),
@@ -1376,16 +1406,20 @@ impl QueryService {
             *self.live.write().expect("live epoch lock") = ep;
             self.live_epoch.store(next_epoch, Ordering::Release);
             self.epoch_swaps.fetch_add(1, Ordering::Release);
-            // The canonical state is at `shadow.seq` (checked above), so the
-            // log holds nothing this oracle has not absorbed.
-            m.oracle = oracle;
+            // The retired epoch goes here, outside the live lock (unless a
+            // reader still pins it), and inside this publish's account.
+            drop(shadow.base);
+            // The maintenance state is at `shadow.seq` (checked above), so
+            // the log holds nothing this epoch has not absorbed, and every
+            // journaled update is in it.
             m.reweighted.clear();
+            m.live_journal_len = m.wal.as_ref().map_or(0, UpdateJournal::len);
             profile.pages_swap += locked.elapsed();
             m.last_publish = profile;
             // A protocol I/O failure (not a kill point) still swaps: the
             // updates are journaled, so recovery replays them; only the
             // checkpoint shortcut is degraded. Surface the error.
-            return protocol;
+            return protocol.map(|()| reports);
         }
         unreachable!("catch-up loop returns from within");
     }
@@ -1398,17 +1432,18 @@ impl QueryService {
     }
 
     /// The durable half of a publish: journal `publish-intent`, write the
-    /// checkpoint (temp + sync + atomic rename), journal `publish-done`.
+    /// checkpoint of the epoch being published (temp + sync + atomic
+    /// rename), journal `publish-done`.
     /// No-op without an attached maintenance log. Honors an armed kill
     /// point by returning `ErrorKind::Interrupted` at the boundary.
-    fn publish_files(&self, m: &mut MaintState, epoch: u64) -> io::Result<()> {
-        let MaintState {
-            net,
-            index,
-            wal,
-            log_dir,
-            ..
-        } = m;
+    fn publish_files(
+        &self,
+        m: &mut MaintState,
+        epoch: u64,
+        net: &RoadNetwork,
+        index: &SignatureIndex,
+    ) -> io::Result<()> {
+        let MaintState { wal, log_dir, .. } = m;
         let (Some(wal), Some(dir)) = (wal.as_mut(), log_dir.as_ref()) else {
             return Ok(());
         };
@@ -1450,11 +1485,12 @@ impl QueryService {
         Ok(())
     }
 
-    /// Attach a maintenance log at `dir`: the base network/object snapshot
-    /// is (re)written atomically and an empty write-ahead journal is
-    /// created. From here on, [`Self::apply_updates`] journals before
-    /// patching and every publish checkpoints the full state inside the
-    /// intent/done protocol.
+    /// Attach a maintenance log at `dir`: the live epoch's network and the
+    /// objects are (re)written atomically as the base snapshot, and a
+    /// write-ahead journal is created holding whatever updates were
+    /// acknowledged but not yet published. From here on,
+    /// [`Self::apply_updates`] journals before patching and every publish
+    /// checkpoints the full state inside the intent/done protocol.
     ///
     /// Fails if `dir` already holds journaled history — that history is not
     /// reflected in this service; recover from it with [`Self::recover`]
@@ -1464,44 +1500,53 @@ impl QueryService {
         std::fs::create_dir_all(dir)?;
         let mut m = self.maint.lock().expect("maint lock");
         let mut net_bytes = Vec::new();
-        write_network(&m.net, &mut net_bytes)?;
+        write_network(&self.snapshot().net, &mut net_bytes)?;
         atomic_write(&dir.join(BASE_NET_FILE), &net_bytes)?;
         let mut obj_bytes = Vec::new();
         write_objects(&self.objects, &mut obj_bytes)?;
         atomic_write(&dir.join(BASE_OBJ_FILE), &obj_bytes)?;
-        let (wal, existing) = UpdateJournal::open(dir.join(JOURNAL_FILE))?;
+        let (mut wal, existing) = UpdateJournal::open(dir.join(JOURNAL_FILE))?;
         if !existing.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "journal already holds records; use QueryService::recover",
             ));
         }
+        let pending: Vec<EdgeUpdate> = m
+            .reweighted
+            .iter()
+            .map(|&(a, b, _)| (a, b, m.net.edge_weight(a, b).expect("logged edge")))
+            .collect();
+        if !pending.is_empty() {
+            wal.append(&pending)?;
+        }
         m.wal = Some(wal);
         m.log_dir = Some(dir.to_path_buf());
+        m.live_journal_len = 0;
         Ok(())
     }
 
-    /// Snapshot the canonical service state (network, objects, index) into
-    /// the attached maintenance log, atomically (write-temp-then-rename),
-    /// outside the publish protocol. After a crash, recovery replays only
-    /// the journal suffix past this point.
+    /// Snapshot the last published state (network, objects, index) into
+    /// the attached maintenance log with the journal length it covers,
+    /// atomically (write-temp-then-rename), outside the publish protocol.
+    /// After a crash, recovery replays only the journal suffix past that
+    /// length — acknowledged updates not yet published included.
     pub fn checkpoint(&self) -> io::Result<()> {
         let m = self.maint.lock().expect("maint lock");
-        let (dir, wal) = match (&m.log_dir, &m.wal) {
-            (Some(d), Some(j)) => (d, j),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "no maintenance log attached",
-                ))
-            }
+        let Some(dir) = m.log_dir.as_ref().filter(|_| m.wal.is_some()) else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "no maintenance log attached",
+            ));
         };
+        // The live epoch cannot move while the maintenance lock is held.
+        let live = self.snapshot();
         write_checkpoint(
             dir.join(CHECKPOINT_FILE),
-            wal.len(),
-            &m.net,
+            m.live_journal_len,
+            &live.net,
             &self.objects,
-            &m.index,
+            &live.index,
         )
     }
 
@@ -1529,10 +1574,12 @@ impl QueryService {
     /// a torn tail is truncated, records past the tear are lost *as a
     /// whole* (never half-applied). If a checkpoint parses and does not
     /// claim more history than the journal holds, recovery starts from it
-    /// and replays only the suffix; otherwise it rebuilds the index from
-    /// the base snapshot and replays everything. Either way the result is
-    /// identical to a from-scratch rebuild over the surviving history
-    /// (absolute-weight updates make replay idempotent), and the service
+    /// and replays only the suffix; otherwise it starts from the base
+    /// snapshot and replays everything. Replay sets the weights on the
+    /// starting network, and the index is built once on the result (the
+    /// checkpoint's is reused when nothing follows it). Either way the
+    /// result is identical to a from-scratch rebuild over the surviving
+    /// history (absolute-weight updates make replay idempotent), and the service
     /// lands on exactly one epoch: the last durably published one, plus one
     /// if acknowledged updates survived past it (a publish the crash tore —
     /// detectable as an `intent` without its `done` — never splits the
@@ -1567,13 +1614,14 @@ impl QueryService {
             }
         }
         let total_updates = updates.len() as u64;
-        let mut from_checkpoint = false;
-        let (net, objects, index, replayed) = match read_checkpoint(dir.join(CHECKPOINT_FILE)) {
+        // Start from the checkpoint when it is trusted, else from the base
+        // snapshot; either way the surviving updates go onto the network,
+        // and the index is rebuilt once on the result — in the starting
+        // index's category partition, so it categorises exactly like the
+        // index maintenance would have carried there — unless nothing was
+        // left to apply.
+        let (mut net, objects, start, suffix) = match read_checkpoint(dir.join(CHECKPOINT_FILE)) {
             Ok(c) if c.journal_len <= records.len() as u64 => {
-                from_checkpoint = true;
-                let mut net = c.net;
-                let mut index = c.index;
-                let mut maint = SignatureMaintainer::new(&net, &c.objects);
                 let suffix: Vec<EdgeUpdate> = records[c.journal_len as usize..]
                     .iter()
                     .filter_map(|r| match r {
@@ -1581,33 +1629,43 @@ impl QueryService {
                         _ => None,
                     })
                     .collect();
-                for &(a, b, w) in &suffix {
-                    maint.update_edge(&mut net, &mut index, a, b, w);
-                }
-                (net, c.objects, index, suffix.len() as u64)
+                (c.net, c.objects, Ok(c.index), suffix)
             }
             _ => {
                 // No usable checkpoint (absent, damaged, or ahead of the
                 // surviving journal): base + full replay.
                 let net = load_network(dir.join(BASE_NET_FILE))?;
                 let objects = read_objects(std::fs::File::open(dir.join(BASE_OBJ_FILE))?, &net)?;
-                let mut net = net;
-                let mut index = SignatureIndex::build(&net, &objects, sig);
-                let mut maint = SignatureMaintainer::new(&net, &objects);
-                for &(a, b, w) in &updates {
-                    maint.update_edge(&mut net, &mut index, a, b, w);
-                }
-                (net, objects, index, total_updates)
+                let partition = sig.partition_for(&net, &objects);
+                (net, objects, Err(partition), updates)
             }
         };
+        let from_checkpoint = start.is_ok();
+        let replayed = suffix.len() as u64;
+        for &(a, b, w) in &suffix {
+            net.set_edge_weight(a, b, w);
+        }
         // Land on exactly one epoch: the last durably published one, plus
         // one when acknowledged updates survived past it (they are part of
         // the recovered state, so the epoch must move).
         let epoch = last_done_epoch + u64::from(updates_since_done > 0);
         let ch = ContractionHierarchy::build(&net, &ChConfig::default());
+        let index = match start {
+            Ok(index) if suffix.is_empty() => index,
+            start => {
+                let partition = start.map_or_else(|p| p, |index| index.partition().clone());
+                SignatureIndex::build_with_hierarchy(
+                    &net,
+                    &objects,
+                    &sig.pinned_to(&partition),
+                    &ch,
+                )
+            }
+        };
         let svc = QueryService::assemble(net, objects, index, ch, cfg, sig.clone(), epoch);
         {
             let mut m = svc.maint.lock().expect("maint lock");
+            m.live_journal_len = wal.len();
             m.wal = Some(wal);
             m.log_dir = Some(dir.to_path_buf());
         }

@@ -89,9 +89,8 @@ pub struct BatchReport {
     pub backend: &'static str,
     /// One output per input query, in input order.
     pub outputs: Vec<QueryOutput>,
-    /// Per query, in input order: whether it was answered by an exact
-    /// fallback engine (the hierarchy oracle when the service holds one,
-    /// else Dijkstra) after exhausting its storage-fault retry budget.
+    /// Per query, in input order: whether it was answered by the epoch's
+    /// hub-label oracle after exhausting its storage-fault retry budget.
     /// Degraded answers are still exact — only the fast path was skipped.
     pub degraded: Vec<bool>,
     /// Wall-clock time for the whole batch.
@@ -137,7 +136,7 @@ impl BatchReport {
         self.outputs.len() as f64 / secs
     }
 
-    /// Queries answered by the degraded (exact-fallback) path.
+    /// Queries answered by the degraded path (the label oracle).
     pub fn degraded_count(&self) -> usize {
         self.degraded.iter().filter(|&&d| d).count()
     }

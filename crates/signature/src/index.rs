@@ -48,6 +48,36 @@ pub struct SignatureConfig {
     pub build_distance: BuildDistanceMode,
 }
 
+impl SignatureConfig {
+    /// The category partition a build over `net` uses: exponential with
+    /// growth `c`, first bound `t` (default `sqrt(SP / c)`) and spreading
+    /// `SP` (default: the eccentricity of the first object's host).
+    pub fn partition_for(&self, net: &RoadNetwork, objects: &ObjectSet) -> CategoryPartition {
+        let sp = self.spreading.unwrap_or_else(|| {
+            let t = sssp(net, objects.node_of(ObjectId(0)));
+            let m = t.dist.iter().copied().filter(|&x| x != INFINITY).max();
+            m.expect("empty network").max(1)
+        });
+        let t = self
+            .t
+            .unwrap_or_else(|| ((sp as f64 / self.c).sqrt().round() as Dist).max(1));
+        CategoryPartition::exponential(self.c, t, sp)
+    }
+
+    /// This configuration with the partition pinned to `p` (an exponential
+    /// partition, as every build makes): a build over a re-weighted network
+    /// then categorises exactly like the index `p` came from, where the
+    /// defaults would re-estimate the spreading from the new weights.
+    pub fn pinned_to(&self, p: &CategoryPartition) -> SignatureConfig {
+        SignatureConfig {
+            c: p.c(),
+            t: Some(p.t()),
+            spreading: p.upper_bounds().last().copied(),
+            ..self.clone()
+        }
+    }
+}
+
 /// Distance substrate for index construction.
 ///
 /// The per-object distance vector can come from flat Dijkstra over the
@@ -329,15 +359,7 @@ impl SignatureIndex {
         let n = net.num_nodes();
         let d = objects.len();
 
-        let sp = config.spreading.unwrap_or_else(|| {
-            let t = sssp(net, objects.node_of(ObjectId(0)));
-            let m = t.dist.iter().copied().filter(|&x| x != INFINITY).max();
-            m.expect("empty network").max(1)
-        });
-        let t = config
-            .t
-            .unwrap_or_else(|| ((sp as f64 / config.c).sqrt().round() as Dist).max(1));
-        let partition = CategoryPartition::exponential(config.c, t, sp);
+        let partition = config.partition_for(net, objects);
         let code = ReverseZeroPadding::new(partition.num_categories());
         let last_lb = partition.lb((partition.num_categories() - 1) as u8);
         let link_bits = link_bits_for(net.max_degree());
@@ -1416,6 +1438,24 @@ mod tests {
         assert!(
             dir_fraction < 0.10,
             "default-stride directory is {dir_fraction} of disk bytes"
+        );
+    }
+
+    #[test]
+    fn a_pinned_config_rebuilds_the_same_partition_on_new_weights() {
+        let (mut net, objects, idx) = fixture();
+        for u in net.nodes().step_by(2).collect::<Vec<_>>() {
+            let (_, v, w) = net.neighbors(u).next().unwrap();
+            net.set_edge_weight(u, v, w + 60);
+        }
+        let cfg = SignatureConfig::default();
+        let drifted = cfg.partition_for(&net, &objects);
+        assert_ne!(drifted.upper_bounds(), idx.partition().upper_bounds());
+        let pinned = cfg.pinned_to(idx.partition()).partition_for(&net, &objects);
+        assert_eq!(pinned.upper_bounds(), idx.partition().upper_bounds());
+        assert_eq!(
+            (pinned.c(), pinned.t()),
+            (idx.partition().c(), idx.partition().t())
         );
     }
 }

@@ -19,12 +19,15 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 echo "== cargo test --release (the optimised kernels are the ones under test) =="
-# Forest repair, hierarchy and label construction *and repair* (the
-# repaired == rebuilt properties of crates/hierarchy/tests/proptest_labels.rs,
-# run in debug by the step above) and the signature codec once more as the
-# benchmark and a publish run them: release arithmetic, debug assertions
-# compiled out.
+# Hierarchy and label construction *and repair* (the repaired == rebuilt
+# properties of crates/hierarchy/tests/proptest_labels.rs, run in debug by
+# the step above), the label-driven signature repair a publish runs (the
+# label route against the forest route and a fresh build after every
+# publish, tests/label_maintenance.rs) and the signature codec once more
+# as the benchmark and a publish run them: release arithmetic, debug
+# assertions compiled out.
 cargo test --release -q -p dsi-graph -p dsi-hierarchy -p dsi-signature
+cargo test --release -q --test label_maintenance
 
 echo "== cargo bench --no-run (benches must keep compiling) =="
 cargo bench --workspace --no-run

@@ -5,12 +5,15 @@
 //! unbounded join among its queries — element-wise equal to
 //! `Backend::Dijkstra`. A second cell fails every physical read: every
 //! query then degrades onto the label oracle, the answers do not move, and
-//! the service's lifetime degraded count equals the batch's.
+//! the service's lifetime degraded count equals the batch's. A third
+//! closes every edge of one node: the batch would disconnect the network,
+//! so it is refused before it is journaled, and nothing moves.
 
 use distance_signature::graph::generate::{random_planar, PlanarConfig};
-use distance_signature::graph::{ObjectSet, INFINITY};
+use distance_signature::graph::{NodeId, ObjectSet, INFINITY};
 use distance_signature::service::{
-    generate, Backend, Query, QueryOutput, QueryService, ServiceConfig, WorkloadConfig, WorkloadMix,
+    generate, Backend, EdgeUpdate, Query, QueryOutput, QueryService, ServiceConfig, WorkloadConfig,
+    WorkloadMix,
 };
 use distance_signature::signature::{KnnResult, SignatureConfig};
 use distance_signature::storage::FaultPlan;
@@ -20,6 +23,15 @@ use rand::SeedableRng;
 const PARTITIONS: usize = 3;
 
 fn service(fault_plan: FaultPlan) -> QueryService {
+    service_with(ServiceConfig {
+        shards: 4,
+        partitions: PARTITIONS,
+        fault_plan,
+        ..ServiceConfig::default()
+    })
+}
+
+fn service_with(cfg: ServiceConfig) -> QueryService {
     let mut rng = StdRng::seed_from_u64(1957);
     let net = random_planar(
         &PlanarConfig {
@@ -29,17 +41,7 @@ fn service(fault_plan: FaultPlan) -> QueryService {
         &mut rng,
     );
     let objects = ObjectSet::uniform(&net, 0.05, &mut rng);
-    QueryService::new(
-        net,
-        objects,
-        &SignatureConfig::default(),
-        &ServiceConfig {
-            shards: 4,
-            partitions: PARTITIONS,
-            fault_plan,
-            ..ServiceConfig::default()
-        },
-    )
+    QueryService::new(net, objects, &SignatureConfig::default(), &cfg)
 }
 
 /// A generated mix plus the edge cases: k = 0 and k past |objects|, ε = 0
@@ -96,19 +98,25 @@ fn assert_knn_tie_equal(got: &[KnnResult], want: &[KnnResult], ctx: &str) {
 fn every_backend_answers_like_dijkstra() {
     let service = service(FaultPlan::none());
     assert_eq!(service.num_partitions(), PARTITIONS);
-    let batch = batch(&service);
-    let truth = service.serve_batch_on(Backend::Dijkstra, &batch, 2);
+    assert_backends_answer_like_dijkstra(&service, &batch(&service), "");
+    assert_eq!(service.hierarchy_fallback_count(), 0);
+}
+
+/// Every other backend of `service` against `Backend::Dijkstra` on
+/// `batch`, tie-tolerant at the kNN cut for the paged ones.
+fn assert_backends_answer_like_dijkstra(service: &QueryService, batch: &[Query], when: &str) {
+    let truth = service.serve_batch_on(Backend::Dijkstra, batch, 2);
     for backend in [
         Backend::Signature,
         Backend::Sharded,
         Backend::Hierarchy,
         Backend::HubLabel,
     ] {
-        let got = service.serve_batch_on(backend, &batch, 2);
-        assert_eq!(got.degraded_count() + got.shed, 0, "{backend:?}");
+        let got = service.serve_batch_on(backend, batch, 2);
+        assert_eq!(got.degraded_count() + got.shed, 0, "{when}{backend:?}");
         let paged = matches!(backend, Backend::Signature | Backend::Sharded);
         for (i, (a, b)) in got.outputs.iter().zip(&truth.outputs).enumerate() {
-            let ctx = format!("{backend:?}, query {i} ({:?})", batch[i]);
+            let ctx = format!("{when}{backend:?}, query {i} ({:?})", batch[i]);
             match (a, b) {
                 (QueryOutput::Knn(a), QueryOutput::Knn(b)) if paged => {
                     assert_knn_tie_equal(a, b, &ctx)
@@ -117,7 +125,6 @@ fn every_backend_answers_like_dijkstra() {
             }
         }
     }
-    assert_eq!(service.hierarchy_fallback_count(), 0);
 }
 
 #[test]
@@ -148,4 +155,59 @@ fn every_query_degrades_onto_the_labels_and_is_counted_once() {
     );
     // The lifetime counter counts queries, not partitions.
     assert_eq!(faulty.hierarchy_fallback_count(), batch.len() as u64);
+}
+
+#[test]
+fn a_batch_that_would_disconnect_the_network_is_refused() {
+    for partitions in [1, PARTITIONS] {
+        let dir = std::env::temp_dir().join(format!(
+            "dsi_disconnect_k{partitions}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServiceConfig {
+            shards: 4,
+            partitions,
+            ..ServiceConfig::default()
+        };
+        let service = service_with(cfg);
+        service.attach_maintenance_log(&dir).unwrap();
+        let batch = batch(&service);
+        let answers = |s: &QueryService| s.serve_batch_on(Backend::Signature, &batch, 2).outputs;
+        let before = answers(&service);
+
+        // Closing all three of node 14's edges strands it.
+        let net = service.net();
+        let node = NodeId(14);
+        let strand: Vec<EdgeUpdate> = net
+            .neighbors(node)
+            .map(|(_, b, _)| (node, b, INFINITY))
+            .collect();
+        assert_eq!(strand.len(), 3, "the fixture's node 14 has three edges");
+        let err = service.try_apply_updates(&strand).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(service.epoch(), 0);
+        assert_eq!(service.journal_len(), Some(0), "the batch was journaled");
+        assert_eq!(answers(&service), before);
+        assert_backends_answer_like_dijkstra(&service, &batch, "after the refusal: ");
+        drop(service);
+        let (service, report) =
+            QueryService::recover(&dir, &SignatureConfig::default(), &cfg).unwrap();
+        assert_eq!((report.epoch, report.journal_records), (0, 0));
+        assert_eq!(answers(&service), before, "K = {partitions}: recovered");
+
+        // Closing one of them leaves node 14 two ways out: accepted, exact.
+        let (a, b, _) = strand[0];
+        service.try_apply_updates(&[(a, b, INFINITY)]).unwrap();
+        assert_eq!(service.epoch(), 1);
+        assert_backends_answer_like_dijkstra(&service, &batch, "one edge closed: ");
+        let after = answers(&service);
+        drop(service);
+        let (service, report) =
+            QueryService::recover(&dir, &SignatureConfig::default(), &cfg).unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(answers(&service), after, "K = {partitions}: recovered");
+        assert_backends_answer_like_dijkstra(&service, &batch, "recovered: ");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
