@@ -31,7 +31,7 @@
 //! replays the contraction **in the order the hierarchy already has** and
 //! redoes only the steps that could differ. To know which, a contraction
 //! keeps a *record* per node, two flat CSRs private to the hierarchy
-//! (≈ 110 B per node on the benchmark network, never persisted):
+//! (≈ 110 B per node on the benchmark network):
 //!
 //! * its **plan** — the shortcuts `(a, b, weight)` its contraction
 //!   inserted, and
@@ -115,15 +115,14 @@ struct OvArc {
 #[derive(Clone, Debug)]
 pub struct ContractionHierarchy {
     pub(crate) n: usize,
-    pub(crate) seed: u64,
     /// `rank[v]` = position of `v` in contraction order (0 = first).
-    pub(crate) rank: Vec<u32>,
+    rank: Vec<u32>,
     /// `order[r]` = node with rank `r`.
     pub(crate) order: Vec<NodeId>,
     /// CSR over nodes: `up_arcs[up_index[v]..up_index[v+1]]` are `v`'s
     /// arcs toward higher-ranked nodes.
-    pub(crate) up_index: Vec<u32>,
-    pub(crate) up_arcs: Vec<UpArc>,
+    up_index: Vec<u32>,
+    up_arcs: Vec<UpArc>,
     /// CSR mirror of `up_arcs` for the PHAST sweep, laid out in
     /// *descending rank* order: segment `i` holds the downward arcs of
     /// `order[n-1-i]`, so the sweep walks `sweep_arcs` strictly
@@ -132,17 +131,16 @@ pub struct ContractionHierarchy {
     pub(crate) sweep_arcs: Vec<(NodeId, Dist)>,
     /// Max upward-arc weight: the key step bound for upward searches.
     pub(crate) up_step_bound: Dist,
-    pub(crate) num_shortcuts: u32,
-    /// What contraction did per node, for [`Self::repaired`]; `None` on a
-    /// hierarchy read from a snapshot (the record is not persisted).
-    record: Option<Record>,
+    num_shortcuts: u32,
+    /// What contraction did per node, for [`Self::repaired`].
+    record: Record,
 }
 
 /// The contraction record: per node, in contraction order (row `r` belongs
 /// to `order[r]`), the shortcuts its contraction inserted and the nodes
 /// whose overlay adjacency its witness searches read. Two flat CSRs.
 #[derive(Clone, Debug)]
-pub(crate) struct Record {
+struct Record {
     /// The cap the recorded witness searches ran under.
     witness_cap: usize,
     plan_index: Vec<u32>,
@@ -290,18 +288,17 @@ impl Contraction {
         self.order.push(v);
     }
 
-    fn finish(mut self, seed: u64) -> ContractionHierarchy {
+    fn finish(mut self) -> ContractionHierarchy {
         debug_assert_eq!(self.order.len(), self.n);
         self.record.plans.shrink_to_fit();
         self.record.footprints.shrink_to_fit();
         ContractionHierarchy::from_up_lists(
             self.n,
-            seed,
             self.rank,
             self.order,
             self.up_lists,
             self.num_shortcuts,
-            Some(self.record),
+            self.record,
         )
     }
 }
@@ -339,7 +336,7 @@ impl ContractionHierarchy {
             c.contract(v);
             alive[v.index()] = false;
         }
-        c.finish(cfg.seed)
+        c.finish()
     }
 
     /// The hierarchy of `net` in **this hierarchy's order**, re-contracting
@@ -350,20 +347,15 @@ impl ContractionHierarchy {
     /// `changed` must name every edge whose weight may differ between that
     /// network and `net`, as `(a, b, weight it had then)`, oldest change
     /// first — an edge listed twice is judged by its first entry, and one
-    /// whose weight is what it was costs nothing. A hierarchy without a
-    /// contraction record (one read from a snapshot) is re-contracted whole,
-    /// with the default witness cap; the result always carries a record.
+    /// whose weight is what it was costs nothing.
     pub fn repaired(
         &self,
         net: &RoadNetwork,
         changed: &[(NodeId, NodeId, Dist)],
     ) -> (ContractionHierarchy, usize) {
         assert_eq!(net.num_nodes(), self.n, "repair over a different network");
-        let witness_cap = self
-            .record
-            .as_ref()
-            .map_or(ChConfig::default().witness_cap, |r| r.witness_cap);
-        let mut c = Contraction::start(net, witness_cap);
+        let old = &self.record;
+        let mut c = Contraction::start(net, old.witness_cap);
 
         // Overlay arcs whose weight or existence differs between the
         // recorded run and this one, as symmetric per-node lists.
@@ -378,22 +370,17 @@ impl ContractionHierarchy {
         let mut recontracted = 0;
         for (r, &v) in self.order.iter().enumerate() {
             let clean = |x: &NodeId| differing[x.index()].is_empty();
-            match &self.record {
-                Some(old) if clean(&v) && old.footprint(r).iter().all(clean) => {
-                    c.plan.clear();
-                    c.plan.extend_from_slice(old.plan(r));
-                    c.footprint.clear();
-                    c.footprint.extend_from_slice(old.footprint(r));
-                }
-                old => {
-                    c.evaluate(v);
-                    recontracted += 1;
-                    if let Some(old) = old {
-                        plan_differences(old.plan(r), &c.plan, |a, b| {
-                            mark_differing(&mut differing, a, b)
-                        });
-                    }
-                }
+            if clean(&v) && old.footprint(r).iter().all(clean) {
+                c.plan.clear();
+                c.plan.extend_from_slice(old.plan(r));
+                c.footprint.clear();
+                c.footprint.extend_from_slice(old.footprint(r));
+            } else {
+                c.evaluate(v);
+                recontracted += 1;
+                plan_differences(old.plan(r), &c.plan, |a, b| {
+                    mark_differing(&mut differing, a, b)
+                });
             }
             c.contract(v);
             // Both runs have now detached `v`: its arcs differ no more.
@@ -401,19 +388,17 @@ impl ContractionHierarchy {
                 differing[u.index()].retain(|&x| x != v);
             }
         }
-        (c.finish(self.seed), recontracted)
+        (c.finish(), recontracted)
     }
 
-    /// Assemble the CSR arrays (shared by the contraction and the
-    /// persistence loader, which has no record to hand over).
-    pub(crate) fn from_up_lists(
+    /// Assemble the CSR arrays from a finished contraction.
+    fn from_up_lists(
         n: usize,
-        seed: u64,
         rank: Vec<u32>,
         order: Vec<NodeId>,
         up_lists: Vec<Vec<UpArc>>,
         num_shortcuts: u32,
-        record: Option<Record>,
+        record: Record,
     ) -> ContractionHierarchy {
         let mut up_index = Vec::with_capacity(n + 1);
         up_index.push(0u32);
@@ -437,7 +422,6 @@ impl ContractionHierarchy {
         }
         ContractionHierarchy {
             n,
-            seed,
             rank,
             order,
             up_index,
@@ -483,12 +467,6 @@ impl ContractionHierarchy {
     #[inline]
     pub fn num_up_arcs(&self) -> usize {
         self.up_arcs.len()
-    }
-
-    /// Ordering seed the hierarchy was built with.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Max upward-arc weight: the monotone-queue step bound for searches

@@ -71,14 +71,12 @@ use crate::build::ContractionHierarchy;
 /// Hub labels for every node, in flat CSR form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HubLabels {
-    pub(crate) n: usize,
-    /// Ordering seed of the hierarchy the labels were extracted from.
-    pub(crate) seed: u64,
+    n: usize,
     /// CSR over nodes: `hubs[index[v]..index[v+1]]` are `v`'s hubs,
     /// ascending by node id; `dists` is parallel to `hubs`.
-    pub(crate) index: Vec<u32>,
-    pub(crate) hubs: Vec<NodeId>,
-    pub(crate) dists: Vec<Dist>,
+    index: Vec<u32>,
+    hubs: Vec<NodeId>,
+    dists: Vec<Dist>,
 }
 
 /// The work one [`HubLabels::repaired`] did.
@@ -207,7 +205,7 @@ impl HubLabels {
             built[v.index()] = true;
         }
 
-        let labels = HubLabels::assemble(ch.seed(), n, |v, hubs, dists| match base {
+        let labels = HubLabels::assemble(n, |v, hubs, dists| match base {
             Some((old, _)) if !built[v] => {
                 let (hs, ds) = old.label_of(NodeId(v as u32));
                 hubs.extend_from_slice(hs);
@@ -237,7 +235,6 @@ impl HubLabels {
     /// Lay per-node labels out as the CSR: `push_label(v, hubs, dists)`
     /// appends node `v`'s entries, ascending by hub id.
     fn assemble(
-        seed: u64,
         n: usize,
         mut push_label: impl FnMut(usize, &mut Vec<NodeId>, &mut Vec<Dist>),
     ) -> HubLabels {
@@ -250,7 +247,6 @@ impl HubLabels {
         }
         HubLabels {
             n,
-            seed,
             index,
             hubs,
             dists,
@@ -320,7 +316,7 @@ impl HubLabels {
             heap.clear();
         }
 
-        HubLabels::assemble(0, n, |v, hubs, dists| {
+        HubLabels::assemble(n, |v, hubs, dists| {
             labels[v].sort_unstable_by_key(|&(h, _)| h);
             hubs.extend(labels[v].iter().map(|&(h, _)| h));
             dists.extend(labels[v].iter().map(|&(_, d)| d));
@@ -351,12 +347,6 @@ impl HubLabels {
         self.index.len() * std::mem::size_of::<u32>()
             + self.hubs.len() * std::mem::size_of::<NodeId>()
             + self.dists.len() * std::mem::size_of::<Dist>()
-    }
-
-    /// Ordering seed of the hierarchy these labels came from.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// `v`'s label as parallel `(hubs, dists)` slices, hubs ascending.

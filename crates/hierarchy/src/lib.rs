@@ -41,21 +41,13 @@
 //! (`begin_external` / `improve` / `pop_settled`), so the epoch-stamped
 //! arrays and queue substrates are shared with the flat engine rather than
 //! reimplemented.
-//!
-//! The oracle is persistable ([`persist`]) in the same framed, CRC-32
-//! checksummed container as the signature index's format v3.
 
 pub mod build;
 pub mod labels;
-pub mod persist;
 pub mod phast;
 pub mod query;
 
 pub use build::{ChConfig, ContractionHierarchy, UpArc};
 pub use labels::{HubLabels, LabelBuckets, LabelRepair};
-pub use persist::{
-    load_hierarchy, load_labels, read_hierarchy, read_labels, save_hierarchy, save_labels,
-    write_hierarchy, write_labels,
-};
 pub use phast::PhastWorkspace;
 pub use query::ChWorkspace;

@@ -17,9 +17,7 @@
 
 use dsi_graph::ids::dist_add;
 use dsi_graph::{sssp, Dist, NetworkBuilder, NodeId, Point, RoadNetwork, INFINITY};
-use dsi_hierarchy::{
-    read_hierarchy, write_hierarchy, ChConfig, ChWorkspace, ContractionHierarchy, HubLabels,
-};
+use dsi_hierarchy::{ChConfig, ChWorkspace, ContractionHierarchy, HubLabels};
 use proptest::prelude::*;
 
 /// One or two ring-with-chords clusters, bridged by zero or more extra
@@ -198,40 +196,17 @@ fn apply_edit(net: &mut RoadNetwork, n1: usize, edit: Edit, log: &mut Vec<(NodeI
     }
 }
 
-/// Nodes whose upward arcs `(to, weight)` differ between two hierarchies
-/// of one order.
-fn arc_differences(a: &ContractionHierarchy, b: &ContractionHierarchy) -> usize {
-    let arcs = |ch: &ContractionHierarchy, v| {
-        let mut arcs: Vec<_> = ch.up_arcs_of(v).iter().map(|a| (a.to, a.weight)).collect();
-        arcs.sort_unstable();
-        arcs
-    };
-    a.order()
-        .iter()
-        .filter(|&&v| arcs(a, v) != arcs(b, v))
-        .count()
-}
-
-/// The all-dirty replay: a hierarchy that went through a snapshot carries
-/// no contraction record, so its repair re-contracts every node.
-fn without_record(ch: &ContractionHierarchy) -> ContractionHierarchy {
-    let mut bytes = Vec::new();
-    write_hierarchy(ch, &mut bytes).expect("write to memory");
-    read_hierarchy(&bytes[..]).expect("round trip")
-}
-
 /// One repair step checked against every oracle: the repaired hierarchy
 /// keeps `ch`'s order and answers `p2p` like Dijkstra from each of
 /// `sources`; the repaired labels equal `HubLabels::build` of it and the
-/// pruned-landmark labelling of `net` in that order. Returns the pair and
-/// the number of nodes the hierarchy repair re-contracted.
+/// pruned-landmark labelling of `net` in that order. Returns the pair.
 fn check_repair(
     net: &RoadNetwork,
     ch: &ContractionHierarchy,
     hl: &HubLabels,
     log: &[(NodeId, NodeId, Dist)],
     sources: impl Iterator<Item = NodeId>,
-) -> Result<(ContractionHierarchy, HubLabels, usize), String> {
+) -> Result<(ContractionHierarchy, HubLabels), String> {
     let (new_ch, recontracted) = ch.repaired(net, log);
     if new_ch.order() != ch.order() {
         return Err("the repair changed the contraction order".into());
@@ -257,7 +232,7 @@ fn check_repair(
             "work counts out of range: {recontracted}, {work:?}"
         ));
     }
-    Ok((new_ch, new_hl, recontracted))
+    Ok((new_ch, new_hl))
 }
 
 #[test]
@@ -295,27 +270,7 @@ fn repairs_match_rebuilds_on_a_planar_network() {
                 apply_edit(&mut net, n, edit, &mut log);
             }
             let sources = (0..n as u32).step_by(301).map(NodeId);
-            let (new_ch, new_hl, recontracted) =
-                check_repair(&net, &ch, &hl, &log, sources).unwrap();
-
-            // The all-dirty replay runs under the default cap whatever
-            // `cfg` says, so its arcs may be another hierarchy of the same
-            // order; the labels are canonical for order and metric.
-            let (replayed, all) = without_record(&ch).repaired(&net, &[]);
-            assert_eq!(all, n);
-            assert_eq!(replayed.order(), ch.order());
-            assert_eq!(HubLabels::build(&replayed), new_hl);
-            // Reported, not asserted: the reuse rule promises a hierarchy,
-            // not the one a full replay finds (a truncated search may break
-            // a tie differently).
-            if cfg.witness_cap == ChConfig::default().witness_cap {
-                eprintln!(
-                    "step {step}: {recontracted} of {n} nodes recontracted, upward arcs differ \
-                     from the all-dirty replay at {} nodes",
-                    arc_differences(&new_ch, &replayed),
-                );
-            }
-            (ch, hl) = (new_ch, new_hl);
+            (ch, hl) = check_repair(&net, &ch, &hl, &log, sources).unwrap();
         }
     }
 }
@@ -375,7 +330,7 @@ proptest! {
                     }
                     let checked = check_repair(&net, &ch, &hl, &log, net.nodes());
                     prop_assert!(checked.is_ok(), "cap {}: {}", cfg.witness_cap, checked.unwrap_err());
-                    (ch, hl, _) = checked.unwrap();
+                    (ch, hl) = checked.unwrap();
                 }
             }
         }

@@ -77,8 +77,6 @@ pub struct PartitionedIndex {
     pub(crate) all_boundary: Vec<NodeId>,
     /// Region → first global boundary index (length K+1).
     pub(crate) boundary_base: Vec<usize>,
-    /// Boundary overlay adjacency over global boundary indexes.
-    pub(crate) overlay: Vec<Vec<(u32, Dist)>>,
     /// `[region][boundary rank][real rank]` = exact in-region distance from
     /// that boundary node to that real object's host.
     pub(crate) obj_rows: Vec<Vec<Vec<Dist>>>,
@@ -95,8 +93,7 @@ pub struct PartitionedIndex {
 
 /// Inverted glue labels: for each hub, every boundary node whose label
 /// contains it, rows ascending by distance so a bounded scan stops at the
-/// first row past its budget. A pure function of the labels — like them,
-/// re-derived rather than persisted.
+/// first row past its budget. A pure function of the labels.
 pub(crate) struct GlueBuckets {
     /// Hub → first row (length `num_boundary + 1`).
     index: Vec<u32>,
@@ -245,7 +242,7 @@ impl PartitionedIndex {
         Self::assemble(objects, partitioning, shape, parts, &all_rows)
     }
 
-    pub(crate) fn assemble(
+    fn assemble(
         objects: &ObjectSet,
         partitioning: Partitioning,
         shape: Shape,
@@ -306,7 +303,6 @@ impl PartitionedIndex {
             local_node: shape.local_node,
             all_boundary: shape.all_boundary,
             boundary_base: shape.boundary_base,
-            overlay,
             obj_rows,
             glue,
             glue_buckets,
@@ -370,8 +366,8 @@ impl PartitionedIndex {
 /// ([`HubLabels::build_pruned`]), which density only costs edge scans.
 /// Roots are ordered by descending degree (most-connected boundary nodes
 /// make the best hubs), ties by id. Deterministic — derived from the
-/// overlay alone, so build and snapshot load produce identical labels.
-pub(crate) fn build_glue(overlay: &[Vec<(u32, Dist)>]) -> HubLabels {
+/// overlay alone.
+fn build_glue(overlay: &[Vec<(u32, Dist)>]) -> HubLabels {
     let adj: Vec<Vec<(NodeId, Dist)>> = overlay
         .iter()
         .map(|a| a.iter().map(|&(to, w)| (NodeId(to), w)).collect())
@@ -382,17 +378,17 @@ pub(crate) fn build_glue(overlay: &[Vec<(u32, Dist)>]) -> HubLabels {
 }
 
 /// Shared read-only lookup tables every build worker needs.
-pub(crate) struct Shape {
+struct Shape {
     /// Global node → region-local node id.
-    pub(crate) local_node: Vec<u32>,
+    local_node: Vec<u32>,
     /// Global node → global boundary index (`u32::MAX` if interior).
-    pub(crate) bidx_of: Vec<u32>,
-    pub(crate) all_boundary: Vec<NodeId>,
-    pub(crate) boundary_base: Vec<usize>,
+    bidx_of: Vec<u32>,
+    all_boundary: Vec<NodeId>,
+    boundary_base: Vec<usize>,
 }
 
 impl Shape {
-    pub(crate) fn of(net: &RoadNetwork, partitioning: &Partitioning) -> Shape {
+    fn of(net: &RoadNetwork, partitioning: &Partitioning) -> Shape {
         let n = net.num_nodes();
         let k = partitioning.num_parts();
         let mut all_boundary = Vec::new();
@@ -421,23 +417,17 @@ impl Shape {
     }
 }
 
-/// The deterministic, index-free part of a region: its induced subgraph and
-/// merged object roster. Re-derived identically at build time and at
-/// snapshot load time.
-pub(crate) struct RegionShape {
-    pub(crate) subnet: RoadNetwork,
-    pub(crate) part_objects: ObjectSet,
-    pub(crate) real_objs: Vec<(ObjectId, ObjectId)>,
-    pub(crate) boundary_objs: Vec<(ObjectId, u32)>,
-}
-
-pub(crate) fn region_shape(
+/// Build one region: induced subgraph, merged object set (real ∪ boundary
+/// pseudos), signature index, and the captured boundary distance rows.
+fn build_part(
     net: &RoadNetwork,
     objects: &ObjectSet,
+    config: &SignatureConfig,
     partitioning: &Partitioning,
     shape: &Shape,
     p: usize,
-) -> RegionShape {
+    ws: &mut SignatureBuildWorkspace,
+) -> BuiltPart {
     let globals = partitioning.nodes(p);
 
     let coords: Vec<Point> = globals.iter().map(|&g| net.coord(g)).collect();
@@ -479,31 +469,6 @@ pub(crate) fn region_shape(
         .enumerate()
         .all(|(i, &(_, b))| b as usize == shape.boundary_base[p] + i));
 
-    RegionShape {
-        subnet,
-        part_objects,
-        real_objs,
-        boundary_objs,
-    }
-}
-
-/// Build one region: induced subgraph, merged object set (real ∪ boundary
-/// pseudos), signature index, and the captured boundary distance rows.
-fn build_part(
-    net: &RoadNetwork,
-    objects: &ObjectSet,
-    config: &SignatureConfig,
-    partitioning: &Partitioning,
-    shape: &Shape,
-    p: usize,
-    ws: &mut SignatureBuildWorkspace,
-) -> BuiltPart {
-    let RegionShape {
-        subnet,
-        part_objects,
-        real_objs,
-        boundary_objs,
-    } = region_shape(net, objects, partitioning, shape, p);
     let n_p = subnet.num_nodes();
     let capture: Vec<ObjectId> = boundary_objs.iter().map(|&(lo, _)| lo).collect();
 

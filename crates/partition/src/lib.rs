@@ -22,16 +22,11 @@
 //!   to the single-index baseline; [`ShardedSessions`] is its standalone
 //!   session-pool face, `dsi-service` embeds the same operators in its
 //!   lock-striped engine.
-//!
-//! Snapshots ([`persist`]) store the assignment, overlay, glue rows, and
-//! each region's v3 signature snapshot in one checksummed file.
 
 pub mod index;
 pub mod partitioner;
-pub mod persist;
 pub mod router;
 
 pub use index::{PartitionedIndex, Region};
 pub use partitioner::{CutEdge, Partitioning};
-pub use persist::{load_partitioned, read_partitioned, save_partitioned, write_partitioned};
 pub use router::ShardedSessions;

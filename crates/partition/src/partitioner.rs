@@ -106,29 +106,9 @@ impl Partitioning {
                 part_of[v.index()] = p as u32;
             }
         }
-        Self::assemble(net, k, part_of, nodes)
-    }
 
-    /// Rebuild a partitioning from a stored region assignment (the persist
-    /// path): boundary nodes and cut edges are re-derived from the network.
-    pub fn from_part_of(net: &RoadNetwork, num_parts: usize, part_of: Vec<u32>) -> Self {
-        assert_eq!(part_of.len(), net.num_nodes());
-        let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); num_parts];
-        for (i, &p) in part_of.iter().enumerate() {
-            assert!((p as usize) < num_parts, "region id out of range");
-            nodes[p as usize].push(NodeId(i as u32));
-        }
-        Self::assemble(net, num_parts, part_of, nodes)
-    }
-
-    fn assemble(
-        net: &RoadNetwork,
-        num_parts: usize,
-        part_of: Vec<u32>,
-        nodes: Vec<Vec<NodeId>>,
-    ) -> Self {
-        let mut boundary = vec![Vec::new(); num_parts];
-        let mut cuts = vec![Vec::new(); num_parts];
+        let mut boundary = vec![Vec::new(); k];
+        let mut cuts = vec![Vec::new(); k];
         for u in net.nodes() {
             let pu = part_of[u.index()];
             let mut is_boundary = false;
@@ -150,7 +130,7 @@ impl Partitioning {
             }
         }
         Partitioning {
-            num_parts,
+            num_parts: k,
             part_of,
             nodes,
             boundary,
@@ -166,11 +146,6 @@ impl Partitioning {
     /// Region owning node `n`.
     pub fn part_of(&self, n: NodeId) -> usize {
         self.part_of[n.index()] as usize
-    }
-
-    /// The raw node → region assignment (for persistence).
-    pub fn assignment(&self) -> &[u32] {
-        &self.part_of
     }
 
     /// Global node ids of region `p`, sorted ascending. A node's

@@ -143,18 +143,4 @@ proptest! {
             prop_assert_eq!(seen.len(), nodes.len(), "region {p} disconnected");
         }
     }
-
-    #[test]
-    fn assignment_round_trips_through_from_part_of(
-        net in arb_network(),
-        k in 1usize..9,
-    ) {
-        let part = Partitioning::new(&net, k);
-        let back = Partitioning::from_part_of(&net, part.num_parts(), part.assignment().to_vec());
-        for p in 0..part.num_parts() {
-            prop_assert_eq!(part.nodes(p), back.nodes(p));
-            prop_assert_eq!(part.boundary(p), back.boundary(p));
-            prop_assert_eq!(part.cuts(p), back.cuts(p));
-        }
-    }
 }

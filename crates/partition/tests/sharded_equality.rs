@@ -1,6 +1,6 @@
 //! Element-wise equality of sharded answers against the single-index
 //! baseline, across K ∈ {1, 2, 4, 8} (K = 1 degenerates to the existing
-//! single-index path), plus snapshot round-trips.
+//! single-index path), under every entry-decode mode at K = 4.
 //!
 //! kNN/CNN comparisons filter query nodes whose k-th distance is tied
 //! (independent Dijkstra ground truth): at a tied cut both sides return a
@@ -9,7 +9,7 @@
 
 use dsi_graph::generate::{random_planar, PlanarConfig};
 use dsi_graph::{sssp, Dist, NodeId, ObjectSet, RoadNetwork};
-use dsi_partition::{read_partitioned, write_partitioned, PartitionedIndex, ShardedSessions};
+use dsi_partition::{PartitionedIndex, ShardedSessions};
 use dsi_signature::query::join::self_epsilon_join;
 use dsi_signature::{EntryDecodeMode, KnnType, SignatureConfig, SignatureIndex};
 use rand::rngs::StdRng;
@@ -72,37 +72,50 @@ fn sharded_answers_match_the_single_index_for_every_k() {
             assert_eq!(pidx.num_parts(), 1);
             assert_eq!(pidx.num_boundary(), 0, "K=1 must have no boundary");
         }
-        let mut sharded = ShardedSessions::new(&pidx, POOL_PAGES);
-
-        for &q in &queries {
-            for &eps in &eps_list {
-                assert_eq!(
-                    sharded.range(q, eps),
-                    base.range(q, eps),
-                    "range(q={q}, eps={eps}) diverged at K={k_parts}"
-                );
-                assert_eq!(
-                    sharded.aggregate(q, eps),
-                    base.aggregate(q, eps),
-                    "aggregate(q={q}, eps={eps}) diverged at K={k_parts}"
-                );
-            }
-            for k in [1usize, 3, 8] {
-                if !knn_cut_tie_free(&net, &objects, q, k) {
-                    continue;
+        // Entry-granular decode is one more input at K = 4: every mode
+        // must answer like the single index.
+        let modes: &[EntryDecodeMode] = if k_parts == 4 {
+            &[
+                EntryDecodeMode::Off,
+                EntryDecodeMode::On,
+                EntryDecodeMode::Auto,
+            ]
+        } else {
+            &[EntryDecodeMode::Auto]
+        };
+        for &mode in modes {
+            let mut sharded = ShardedSessions::new(&pidx, POOL_PAGES);
+            sharded.set_entry_decode(mode);
+            for &q in &queries {
+                for &eps in &eps_list {
+                    assert_eq!(
+                        sharded.range(q, eps),
+                        base.range(q, eps),
+                        "range(q={q}, eps={eps}) diverged at K={k_parts}, {mode:?}"
+                    );
+                    assert_eq!(
+                        sharded.aggregate(q, eps),
+                        base.aggregate(q, eps),
+                        "aggregate(q={q}, eps={eps}) diverged at K={k_parts}, {mode:?}"
+                    );
                 }
-                assert_eq!(
-                    sharded.knn(q, k),
-                    base.knn(q, k, KnnType::Type1),
-                    "knn(q={q}, k={k}) diverged at K={k_parts}"
-                );
+                for k in [1usize, 3, 8] {
+                    if !knn_cut_tie_free(&net, &objects, q, k) {
+                        continue;
+                    }
+                    assert_eq!(
+                        sharded.knn(q, k),
+                        base.knn(q, k, KnnType::Type1),
+                        "knn(q={q}, k={k}) diverged at K={k_parts}, {mode:?}"
+                    );
+                }
             }
+            let ops = sharded.op_stats();
+            assert!(
+                ops.label_lookups > 0 || k_parts == 1,
+                "K={k_parts} never glued through the boundary labels"
+            );
         }
-        let ops = sharded.op_stats();
-        assert!(
-            ops.label_lookups > 0 || k_parts == 1,
-            "K={k_parts} never glued through the boundary labels"
-        );
     }
 }
 
@@ -174,83 +187,4 @@ fn sharded_continuous_knn_matches_the_single_index() {
             );
         }
     }
-}
-
-#[test]
-fn snapshot_round_trip_preserves_answers_and_io_accounting() {
-    let (net, objects) = fixture(300, 74);
-    let config = SignatureConfig::default();
-    let pidx = PartitionedIndex::build(&net, &objects, &config, 4);
-    let mut buf = Vec::new();
-    write_partitioned(&pidx, &mut buf).unwrap();
-    let back = read_partitioned(&buf[..], &net, &objects).unwrap();
-
-    assert_eq!(back.num_parts(), pidx.num_parts());
-    assert_eq!(back.num_boundary(), pidx.num_boundary());
-    assert_eq!(back.total_pages(), pidx.total_pages());
-
-    let mut a = ShardedSessions::new(&pidx, POOL_PAGES);
-    let mut b = ShardedSessions::new(&back, POOL_PAGES);
-    let eps = radii(&net, &objects)[1];
-    for q in query_nodes(&net) {
-        assert_eq!(a.range(q, eps), b.range(q, eps), "range(q={q}) diverged");
-        assert_eq!(a.knn(q, 3), b.knn(q, 3), "knn(q={q}) diverged");
-    }
-    assert_eq!(a.io_stats(), b.io_stats(), "I/O accounting diverged");
-}
-
-#[test]
-fn loaded_snapshot_serves_entry_granular_decode() {
-    // The per-region snapshots are v3 files with skip directories, so
-    // entry-granular decode must answer identically after a round trip.
-    let (net, objects) = fixture(300, 75);
-    let pidx = PartitionedIndex::build(&net, &objects, &SignatureConfig::default(), 4);
-    let mut buf = Vec::new();
-    write_partitioned(&pidx, &mut buf).unwrap();
-    let back = read_partitioned(&buf[..], &net, &objects).unwrap();
-
-    let eps = radii(&net, &objects)[1];
-    for mode in [
-        EntryDecodeMode::Off,
-        EntryDecodeMode::On,
-        EntryDecodeMode::Auto,
-    ] {
-        let mut a = ShardedSessions::new(&pidx, POOL_PAGES);
-        let mut b = ShardedSessions::new(&back, POOL_PAGES);
-        a.set_entry_decode(mode);
-        b.set_entry_decode(mode);
-        for q in query_nodes(&net).into_iter().take(12) {
-            assert_eq!(a.range(q, eps), b.range(q, eps), "{mode:?} q={q}");
-            assert_eq!(a.knn(q, 4), b.knn(q, 4), "{mode:?} q={q}");
-        }
-    }
-}
-
-#[test]
-fn damaged_snapshots_are_rejected() {
-    let (net, objects) = fixture(200, 76);
-    let pidx = PartitionedIndex::build(&net, &objects, &SignatureConfig::default(), 3);
-    let mut buf = Vec::new();
-    write_partitioned(&pidx, &mut buf).unwrap();
-
-    let mut truncated = buf.clone();
-    truncated.truncate(buf.len() / 2);
-    assert!(read_partitioned(&truncated[..], &net, &objects).is_err());
-
-    for byte in [4usize, 16, buf.len() / 2, buf.len() - 8] {
-        let mut bad = buf.clone();
-        bad[byte] ^= 0x40;
-        assert!(
-            read_partitioned(&bad[..], &net, &objects).is_err(),
-            "flip at byte {byte} went undetected"
-        );
-    }
-
-    // Wrong dataset: same network, shifted hosts.
-    let hosts: Vec<NodeId> = objects
-        .iter()
-        .map(|(_, h)| NodeId((h.0 + 1) % net.num_nodes() as u32))
-        .collect();
-    let other = ObjectSet::from_nodes(&net, hosts);
-    assert!(read_partitioned(&buf[..], &net, &other).is_err());
 }

@@ -887,7 +887,7 @@ impl QueryService {
                         let (out, degraded) = match backend {
                             _ if shed => (self.execute_labels(ep, q, &mut sc), false),
                             Backend::Signature => self.execute_signature(ep, q, &mut sc),
-                            Backend::Sharded => self.execute_partitioned(ep, q, &mut sc),
+                            Backend::Sharded => self.execute_sharded(ep, q, &mut sc),
                             Backend::Dijkstra => {
                                 let mut ine = exec::Dijkstra {
                                     net: &ep.net,
@@ -1133,12 +1133,7 @@ impl QueryService {
     ///
     /// With [`ServiceConfig::partitions`] ≤ 1 there is nothing to route
     /// across and the query takes the literal single-index path.
-    fn execute_partitioned(
-        &self,
-        ep: &EpochIndex,
-        q: &Query,
-        sc: &mut Scratch,
-    ) -> (QueryOutput, bool) {
+    fn execute_sharded(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> (QueryOutput, bool) {
         let Some(pe) = &ep.parted else {
             return self.execute_signature(ep, q, sc);
         };
@@ -1548,22 +1543,6 @@ impl QueryService {
             &self.objects,
             &live.index,
         )
-    }
-
-    /// Write the live epoch's partitioned indexes as a `DSPX` snapshot at
-    /// `path` — the per-region unit of placement for multi-process shards.
-    /// Because the epoch is pinned for the duration of the write, the
-    /// snapshot is consistent even while maintenance publishes new epochs.
-    /// Errors with `InvalidInput` when the service holds no partitions.
-    pub fn snapshot_partitions(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let ep = self.snapshot();
-        let Some(pe) = &ep.parted else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "service holds no partitioned indexes",
-            ));
-        };
-        dsi_partition::persist::save_partitioned(&pe.pidx, path)
     }
 
     /// Rebuild a consistent service from whatever survives in a maintenance
@@ -2029,7 +2008,7 @@ mod tests {
         let ep = svc.snapshot();
         let eps = 15;
         let (out, degraded) =
-            svc.execute_partitioned(&ep, &Query::Join { eps }, &mut Scratch::default());
+            svc.execute_sharded(&ep, &Query::Join { eps }, &mut Scratch::default());
         assert!(degraded);
         assert_eq!(
             out,

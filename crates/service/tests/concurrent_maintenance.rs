@@ -307,69 +307,3 @@ fn racing_writers_ship_labels_that_match_their_hierarchy() {
         service.serve_batch_on(Backend::Dijkstra, &batch, 2).outputs
     );
 }
-
-/// `snapshot_partitions` writes the pinned live epoch's `DSPX` snapshot —
-/// taken *while* maintenance publishes epochs it must still be internally
-/// consistent (one epoch, never a blend), and taken after quiescence it
-/// must reflect the final state and load back validated.
-#[test]
-fn partition_snapshot_is_consistent_under_maintenance() {
-    let service = build_service(3);
-    let updates = update_batches(&service);
-    let dir = std::env::temp_dir().join(format!("dsi_dspx_maint_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-
-    // Snapshots raced against the updater: each write pins one epoch, so
-    // every file must parse as a complete DSPX blob (load validates the
-    // framing; a torn mix of regions would fail it). Validation against a
-    // serialized state needs the *matching* net, so mid-flight snapshots
-    // are checked for structural integrity only, against the state their
-    // epoch could be: S0..Sn nets are tried until one accepts.
-    let mut nets = vec![(*service.net()).clone()];
-    {
-        let twin = build_service(3);
-        for ups in &updates {
-            twin.apply_updates(ups);
-            nets.push((*twin.net()).clone());
-        }
-    }
-    let objects = service.objects().clone();
-    let paths: Vec<_> = (0..3).map(|i| dir.join(format!("snap_{i}.dspx"))).collect();
-    std::thread::scope(|scope| {
-        let svc = &service;
-        let ups = &updates;
-        scope.spawn(move || {
-            for u in ups {
-                svc.apply_updates(u);
-            }
-        });
-        for p in &paths {
-            svc.snapshot_partitions(p)
-                .expect("snapshot under maintenance");
-        }
-    });
-    for p in &paths {
-        assert!(
-            nets.iter()
-                .any(|net| dsi_partition::load_partitioned(p, net, &objects).is_ok()),
-            "snapshot {} matches no serialized state",
-            p.display()
-        );
-    }
-
-    // Quiesced: the snapshot is the final state's, bit-valid against it.
-    let final_path = dir.join("final.dspx");
-    service.snapshot_partitions(&final_path).expect("snapshot");
-    let net = service.net();
-    dsi_partition::load_partitioned(&final_path, &net, &objects)
-        .expect("final snapshot must load against the final network");
-
-    // An unpartitioned service refuses rather than writing an empty file.
-    let single = build_service(1);
-    let err = single
-        .snapshot_partitions(dir.join("none.dspx"))
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-
-    std::fs::remove_dir_all(&dir).ok();
-}

@@ -1,9 +1,15 @@
 //! Integration tests for the persistence formats and the continuous-kNN
 //! query across the full stack, through the public prelude.
 
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+use distance_signature::graph::generate::grid;
 use distance_signature::graph::io as gio;
 use distance_signature::prelude::*;
+use distance_signature::service::journal::{read_checkpoint, write_checkpoint};
 use distance_signature::signature::persist;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,4 +131,69 @@ fn prelude_surface_compiles_and_works() {
     let _ = self_epsilon_join(&mut sess, 25);
     let _ = epsilon_join(&mut sess, &objects, 25);
     let _: Vec<CnnSegment> = continuous_knn(&mut sess, &[q], 2);
+}
+
+/// One checkpoint, written once: a 12×12 grid with four objects, as the
+/// service writes it (journal length, network, objects, signature index).
+fn checkpoint_bytes() -> &'static [u8] {
+    static FIX: OnceLock<Vec<u8>> = OnceLock::new();
+    FIX.get_or_init(|| {
+        let net = grid(12, 12);
+        let objects =
+            ObjectSet::from_nodes(&net, vec![NodeId(3), NodeId(40), NodeId(77), NodeId(130)]);
+        let index = SignatureIndex::build(&net, &objects, &SignatureConfig::default());
+        let path = scratch_path("fixture");
+        write_checkpoint(&path, 7, &net, &objects, &index).expect("write fixture");
+        let bytes = std::fs::read(&path).expect("read fixture back");
+        assert!(
+            read_checkpoint(&path).is_ok(),
+            "pristine checkpoint must parse"
+        );
+        std::fs::remove_file(&path).ok();
+        bytes
+    })
+}
+
+fn scratch_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("dsi_ckpt_fuzz_{}_{tag}.dsic", std::process::id()))
+}
+
+/// Whether `bytes`, stored as a checkpoint file, parse as one.
+fn parses_as_checkpoint(bytes: &[u8], tag: &str) -> bool {
+    let path = scratch_path(tag);
+    std::fs::write(&path, bytes).expect("write damaged checkpoint");
+    let parsed = read_checkpoint(&path).is_ok();
+    std::fs::remove_file(&path).ok();
+    parsed
+}
+
+// The checkpoint's robustness contract, fuzzed like the signature format
+// it embeds: any truncation and any single-bit flip is an error — never a
+// panic, never a checkpoint recovery would trust.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn truncated_checkpoints_are_rejected(cut_frac in 0.0f64..1.0) {
+        let bytes = checkpoint_bytes();
+        let cut = (bytes.len() as f64 * cut_frac) as usize;
+        prop_assert!(
+            !parses_as_checkpoint(&bytes[..cut], "cut"),
+            "checkpoint truncated to {cut}/{} bytes parsed as valid",
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn bit_flipped_checkpoints_are_rejected(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
+        let bytes = checkpoint_bytes();
+        let pos = ((bytes.len() as f64 * pos_frac) as usize).min(bytes.len() - 1);
+        let mut bad = bytes.to_vec();
+        bad[pos] ^= 1 << bit;
+        prop_assert!(
+            !parses_as_checkpoint(&bad, "flip"),
+            "bit {bit} of byte {pos}/{} flipped, checkpoint still parsed",
+            bytes.len()
+        );
+    }
 }
