@@ -17,6 +17,21 @@
 //!
 //! Frames are at most [`PAGE_SIZE`] bytes of payload, so "per-frame
 //! checksum" is the disk model's per-page checksum.
+//!
+//! # Slicing-by-16
+//!
+//! Every buffer miss on a file-backed store verifies its page, so this
+//! kernel sits on the physical read path. The classic one-table loop
+//! makes one dependent table load per byte: about 14 µs per 4 KiB page,
+//! against ~0.5 µs for the `pread` of a page-cache-resident page, so a
+//! page fault cost its checksum, not its read. [`crc32`] therefore folds
+//! 16 bytes per step through sixteen 256-entry tables built at compile
+//! time (16 KiB): the sixteen loads of a step are independent, and only
+//! the xor chain into the next step is serial. A tail of fewer than 16
+//! bytes takes the bytewise step. About 2.7 µs per page; the output is
+//! bit-identical (the root test `tests/persistence_and_cnn.rs` pins it
+//! against the bytewise loop). Hardware folding (PCLMULQDQ) would need
+//! `unsafe` and a per-architecture path, and is not used.
 
 use std::io::{self, Read, Write};
 
@@ -25,34 +40,68 @@ use crate::layout::PAGE_SIZE;
 /// Largest payload of a single frame (one disk page).
 pub const MAX_FRAME: usize = PAGE_SIZE;
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// The reflected IEEE polynomial.
+const POLY: u32 = 0xEDB8_8320;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so sixteen lookups fold sixteen input bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
+
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// IEEE CRC-32 of `bytes` (polynomial `0xEDB88320`, reflected, init and
 /// xor-out `0xFFFFFFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let b: &[u8; 16] = block.try_into().expect("chunks_exact yields 16 bytes");
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

@@ -6,8 +6,10 @@
 //!
 //! * **Format** — a header page (magic, page count, per-page CRC-32 table,
 //!   zero-padded to a [`PAGE_SIZE`] boundary) followed by the raw page
-//!   image. The CRC table is loaded at open time; every physical read
-//!   verifies each page it returns, so real corruption surfaces as
+//!   image. Open checks the header against the file (its length must be
+//!   exactly what the page count implies, the reserved word and padding
+//!   zero) and loads the CRC table; every physical read verifies each
+//!   page it returns, so real corruption surfaces as
 //!   [`StorageError::Corrupted`] exactly like the injected kind.
 //! * **Batched reads** — [`read_run`](PageFile::read_run) fetches a
 //!   contiguous run of pages with **one** `pread`-style syscall
@@ -126,6 +128,11 @@ impl PageFile {
     /// Open a page file for reading. With `use_mmap` (and the `mmap`
     /// feature compiled in) the file is mapped read-only and reads become
     /// copies from the mapping; otherwise every run is one positioned read.
+    ///
+    /// A file whose length differs from what its header's page count
+    /// implies (truncated, extended, or a flipped count), or whose magic,
+    /// reserved word or header padding is damaged, is
+    /// [`io::ErrorKind::InvalidData`]; nothing is mapped before that check.
     pub fn open(path: &Path, use_mmap: bool) -> io::Result<PageFile> {
         let file = File::open(path)?;
         let mut fixed = [0u8; HEADER_FIXED];
@@ -137,18 +144,35 @@ impl PageFile {
             ));
         }
         let num_pages = u32::from_le_bytes(fixed[8..12].try_into().unwrap());
-        let mut crc_bytes = vec![0u8; num_pages as usize * 4];
-        file.read_exact_at(&mut crc_bytes, HEADER_FIXED as u64)?;
+        let reserved = u32::from_le_bytes(fixed[12..16].try_into().unwrap());
+        let table_end = HEADER_FIXED as u64 + num_pages as u64 * 4;
+        let data_off = table_end.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64;
+        let total = data_off + num_pages as u64 * PAGE_SIZE as u64;
+        // Check the header against the file before allocating the CRC table
+        // or mapping anything: a page count the file cannot hold would
+        // otherwise turn into a SIGBUS on the first mapped read past its end.
+        if reserved != 0 || file.metadata()?.len() != total {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "page file header does not match the file (truncated or corrupt)",
+            ));
+        }
+        let mut header = vec![0u8; (data_off - HEADER_FIXED as u64) as usize];
+        file.read_exact_at(&mut header, HEADER_FIXED as u64)?;
+        let (crc_bytes, padding) = header.split_at(num_pages as usize * 4);
+        if padding.iter().any(|&b| b != 0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "page file header padding is not zero",
+            ));
+        }
         let crcs = crc_bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let data_off =
-            ((HEADER_FIXED + num_pages as usize * 4).div_ceil(PAGE_SIZE) * PAGE_SIZE) as u64;
         #[cfg(feature = "mmap")]
         let map = if use_mmap {
-            let total = data_off as usize + num_pages as usize * PAGE_SIZE;
-            Some(map::Mmap::map(&file, total)?)
+            Some(map::Mmap::map(&file, total as usize)?)
         } else {
             None
         };

@@ -25,9 +25,14 @@ echo "== cargo test --release (the optimised kernels are the ones under test) ==
 # label route against the forest route and a fresh build after every
 # publish, tests/label_maintenance.rs) and the signature codec once more
 # as the benchmark and a publish run them: release arithmetic, debug
-# assertions compiled out.
-cargo test --release -q -p dsi-graph -p dsi-hierarchy -p dsi-signature
+# assertions compiled out. The storage crate and the persistence tests
+# run here too: the slicing-by-16 CRC-32 that verifies every buffer miss
+# on a file-backed store, checked bit for bit against the bytewise
+# reference (tests/persistence_and_cnn.rs), and the page-file and
+# checkpoint fuzz.
+cargo test --release -q -p dsi-graph -p dsi-hierarchy -p dsi-signature -p dsi-storage
 cargo test --release -q --test label_maintenance
+cargo test --release -q --test persistence_and_cnn
 
 echo "== cargo bench --no-run (benches must keep compiling) =="
 cargo bench --workspace --no-run

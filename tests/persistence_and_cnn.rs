@@ -9,6 +9,7 @@ use distance_signature::graph::io as gio;
 use distance_signature::prelude::*;
 use distance_signature::service::journal::{read_checkpoint, write_checkpoint};
 use distance_signature::signature::persist;
+use distance_signature::storage::{crc32, PageFile, StorageError, PAGE_SIZE};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,5 +196,191 @@ proptest! {
             "bit {bit} of byte {pos}/{} flipped, checkpoint still parsed",
             bytes.len()
         );
+    }
+}
+
+/// The one-table, one-byte-per-step CRC-32 loop `crc32` replaced, with
+/// its own table: the reference the slicing-by-16 kernel must equal bit
+/// for bit. A wrong entry in any of the kernel's sixteen tables changes
+/// some output this reference does not.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, entry) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        *entry = c;
+    }
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+#[test]
+fn crc32_equals_the_bytewise_reference_at_every_short_length() {
+    assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    let fox = b"The quick brown fox jumps over the lazy dog";
+    assert_eq!(crc32_bytewise(fox), 0x414F_A339);
+    assert_eq!(crc32(fox), 0x414F_A339);
+    let bytes: Vec<u8> = (0..64u32).map(|i| (i * 167 + 13) as u8).collect();
+    for len in 0..=64 {
+        assert_eq!(
+            crc32(&bytes[..len]),
+            crc32_bytewise(&bytes[..len]),
+            "length {len}"
+        );
+    }
+}
+
+// The kernel against the reference on page-sized and unaligned input:
+// lengths 0..=3 pages, slices starting at any offset below 16.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_on_any_slice(
+        len in 0usize..=3 * PAGE_SIZE,
+        start in 0usize..16,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let buf: Vec<u8> = (0..start + len).map(|_| rng.gen::<u32>() as u8).collect();
+        let slice = &buf[start..];
+        prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "len {} start {}", len, start);
+    }
+}
+
+/// Pages in the page-file fixture: one header page plus these.
+const FIXTURE_PAGES: usize = 4;
+
+/// A page file's bytes as `PageFile::create` writes them, and its image.
+fn page_file_bytes() -> &'static (Vec<u8>, Vec<u8>) {
+    static FIX: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    FIX.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(35);
+        let image: Vec<u8> = (0..FIXTURE_PAGES * PAGE_SIZE)
+            .map(|_| rng.gen::<u32>() as u8)
+            .collect();
+        let path = PageFile::scratch_path("fixture");
+        PageFile::create(&path, &image).expect("write fixture");
+        let bytes = std::fs::read(&path).expect("read fixture back");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(bytes.len(), (FIXTURE_PAGES + 1) * PAGE_SIZE);
+        (bytes, image)
+    })
+}
+
+/// Store `bytes` as a page file, open it in the given mode and read every
+/// page the header claims: per page, the read error or whether the bytes
+/// equal `image`'s page. The file is removed afterwards.
+fn read_back(
+    bytes: &[u8],
+    use_mmap: bool,
+    image: &[u8],
+) -> std::io::Result<Vec<Result<bool, StorageError>>> {
+    let path = PageFile::scratch_path("fuzz");
+    std::fs::write(&path, bytes).expect("write page file");
+    let pages = PageFile::open(&path, use_mmap).map(|pf| {
+        assert_eq!(pf.is_mapped(), use_mmap);
+        let mut page = [0u8; PAGE_SIZE];
+        (0..pf.num_pages())
+            .map(|p| {
+                let original = image.chunks(PAGE_SIZE).nth(p as usize);
+                pf.read_page(p, &mut page)
+                    .map(|()| original == Some(&page[..]))
+            })
+            .collect()
+    });
+    std::fs::remove_file(&path).ok();
+    pages
+}
+
+#[test]
+fn truncated_or_extended_page_files_are_rejected_at_open() {
+    let (bytes, image) = page_file_bytes();
+    let mut cuts: Vec<usize> = (0..=FIXTURE_PAGES).map(|p| p * PAGE_SIZE).collect();
+    cuts.extend([16, 17, PAGE_SIZE + 1, bytes.len() - 1]);
+    let mut longer = bytes.clone();
+    longer.extend_from_slice(&[0u8; PAGE_SIZE]);
+    // mmap first: were a cut file to open, reading past the cut would be
+    // a SIGBUS there, so the check must come before any mapping.
+    for use_mmap in [true, false] {
+        for &cut in &cuts {
+            let pages = read_back(&bytes[..cut], use_mmap, image);
+            assert!(
+                pages.is_err(),
+                "file cut to {cut}/{} bytes opened (mmap {use_mmap}): {pages:?}",
+                bytes.len()
+            );
+        }
+        assert_eq!(
+            read_back(&longer, use_mmap, image).err().map(|e| e.kind()),
+            Some(std::io::ErrorKind::InvalidData),
+            "file with a page appended opened (mmap {use_mmap})"
+        );
+        let pages = read_back(bytes, use_mmap, image).expect("pristine page file opens");
+        assert_eq!(pages, vec![Ok(true); FIXTURE_PAGES], "mmap {use_mmap}");
+    }
+}
+
+// `PageFile`'s robustness contract: a single-bit flip anywhere never
+// serves wrong bytes as `Ok` and never panics, in pread and mmap modes.
+// A flip in the fixed header or its padding fails `open`; a flip in page
+// `p`'s CRC entry or data makes exactly `read_page(p)` report
+// `Corrupted { page: p }` while every other page reads back intact.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn bit_flipped_page_files_never_serve_wrong_bytes(
+        region in 0usize..4,
+        frac in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let (bytes, image) = page_file_bytes();
+        let table_end = 16 + FIXTURE_PAGES * 4;
+        // Regions: magic + page count + reserved word, the CRC table, the
+        // header padding, the page data.
+        let (lo, hi) = [
+            (0, 16),
+            (16, table_end),
+            (table_end, PAGE_SIZE),
+            (PAGE_SIZE, bytes.len()),
+        ][region];
+        let pos = (lo + ((hi - lo) as f64 * frac) as usize).min(hi - 1);
+        let damaged_page = match region {
+            1 => Some((pos - 16) / 4),
+            3 => Some((pos - PAGE_SIZE) / PAGE_SIZE),
+            _ => None,
+        };
+        let mut bad = bytes.clone();
+        bad[pos] ^= 1 << bit;
+        for use_mmap in [false, true] {
+            let pages = read_back(&bad, use_mmap, image);
+            let Some(damaged) = damaged_page else {
+                prop_assert!(
+                    pages.is_err(),
+                    "header bit {} of byte {} flipped, page file still opened (mmap {})",
+                    bit, pos, use_mmap
+                );
+                continue;
+            };
+            let mut expected = vec![Ok(true); FIXTURE_PAGES];
+            expected[damaged] = Err(StorageError::Corrupted { page: damaged as u32 });
+            prop_assert_eq!(
+                pages.ok(),
+                Some(expected),
+                "bit {} of byte {} flipped (mmap {})",
+                bit, pos, use_mmap
+            );
+        }
     }
 }
