@@ -66,6 +66,28 @@ impl fmt::Display for ObjectId {
     }
 }
 
+/// The largest finite edge weight a network of `n` nodes admits.
+///
+/// The weight domain: every edge weight lies in `1..=max_weight(n)` or is
+/// [`INFINITY`] (a removed edge). A shortest path has at most `n − 1`
+/// edges and `2 · n · max_weight(n) < INFINITY`, so every path length —
+/// and the sum of two, as a label merge or a two-hop bound adds them —
+/// stays finite and below the sentinel. Weight 0 is outside: a zero-length
+/// edge makes two nodes equidistant from everything, and the index's
+/// backtracking links would cycle between them. At 16,000 nodes the bound
+/// is 134,217.
+pub const fn max_weight(n: usize) -> Dist {
+    let n = if n == 0 { 1 } else { n as u64 };
+    ((INFINITY as u64 - 1) / (2 * n)) as Dist
+}
+
+/// Whether `w` is an admissible weight for an edge of an `n`-node network:
+/// in `1..=`[`max_weight`]`(n)`, or [`INFINITY`].
+#[inline]
+pub fn weight_in_domain(w: Dist, n: usize) -> bool {
+    w == INFINITY || (1..=max_weight(n)).contains(&w)
+}
+
 /// Saturating distance addition that keeps [`INFINITY`] absorbing:
 /// `inf + x = inf`.
 #[inline]
@@ -82,6 +104,23 @@ mod tests {
         assert_eq!(dist_add(INFINITY, 5), INFINITY);
         assert_eq!(dist_add(5, INFINITY), INFINITY);
         assert_eq!(dist_add(INFINITY, INFINITY), INFINITY);
+    }
+
+    #[test]
+    fn the_weight_domain_keeps_two_path_lengths_below_the_sentinel() {
+        for n in [1usize, 2, 300, 16_000, 65_600, 1 << 20] {
+            let m = max_weight(n) as u64;
+            assert!(2 * n as u64 * m < INFINITY as u64, "n = {n}");
+            assert!(
+                2 * n as u64 * (m + 1) >= INFINITY as u64 - 1,
+                "n = {n}: not the largest"
+            );
+            assert!(weight_in_domain(1, n) && weight_in_domain(max_weight(n), n));
+            assert!(weight_in_domain(INFINITY, n));
+            assert!(!weight_in_domain(0, n) && !weight_in_domain(max_weight(n) + 1, n));
+        }
+        assert_eq!(max_weight(16_000), 134_217);
+        assert!(!weight_in_domain(INFINITY - 1, 16_000));
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //!   coordinates, then `m` lines `u v w` of undirected edges).
 //! * A compact **binary snapshot** (magic + version + little-endian
 //!   fields) for fast save/load of generated networks and object sets.
+//!
+//! Both readers refuse a weight outside the weight domain
+//! ([`crate::ids::max_weight`]) with [`LoadError::Format`].
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::dataset::ObjectSet;
-use crate::ids::{Dist, NodeId, INFINITY};
+use crate::ids::{max_weight, weight_in_domain, Dist, NodeId, INFINITY};
 use crate::network::{NetworkBuilder, RoadNetwork};
 use crate::point::Point;
 
@@ -115,6 +118,13 @@ pub fn read_edge_list<R: Read>(r: R) -> Result<RoadNetwork, LoadError> {
         }
         if b.has_edge(NodeId(u), NodeId(v)) {
             return format_err(format!("duplicate edge {u}-{v}"));
+        }
+        // 0 marks a removed edge; INFINITY itself is never written.
+        if w > max_weight(n) {
+            return format_err(format!(
+                "edge {u}-{v} weight {w} above the domain's {}",
+                max_weight(n)
+            ));
         }
         if w == 0 {
             // Placeholder weight; removed right after build.
@@ -236,6 +246,9 @@ pub fn read_network<R: Read>(r: R) -> Result<RoadNetwork, LoadError> {
             let w = get_u32(&mut r)?;
             if v as usize >= n {
                 return format_err(format!("node {u} has out-of-range neighbour"));
+            }
+            if !weight_in_domain(w, n) {
+                return format_err(format!("edge {u}-{v} weight {w} outside the domain"));
             }
             list.push((NodeId(v), w));
         }
@@ -397,6 +410,33 @@ mod tests {
         assert!(read_edge_list(&b"2 1\n0 0\n1 1\n0 7 5\n"[..]).is_err()); // out of range
         assert!(read_edge_list(&b"2 2\n0 0\n1 1\n0 1 5\n1 0 4\n"[..]).is_err()); // dup
         assert!(read_edge_list(&b"3 1\n0 0\n"[..]).is_err()); // truncated
+    }
+
+    #[test]
+    fn both_formats_reject_weights_outside_the_domain() {
+        let top = max_weight(2);
+        let text = |w: Dist| format!("2 1\n0 0\n1 1\n0 1 {w}\n");
+        assert!(read_edge_list(text(top).as_bytes()).is_ok());
+        for w in [top + 1, INFINITY - 1, INFINITY] {
+            assert!(
+                read_edge_list(text(w).as_bytes()).is_err(),
+                "text weight {w}"
+            );
+        }
+        let mut b = NetworkBuilder::new();
+        let (u, v) = (
+            b.add_node(Point::new(0.0, 0.0)),
+            b.add_node(Point::new(1.0, 0.0)),
+        );
+        b.add_edge(u, v, 1);
+        let mut net = b.build();
+        for (w, ok) in [(top, true), (INFINITY, true), (0, false), (top + 1, false)] {
+            net.set_edge_weight(u, v, w);
+            assert_eq!(net.edge_out_of_domain().is_none(), ok, "weight {w}");
+            let mut buf = Vec::new();
+            write_network(&net, &mut buf).unwrap();
+            assert_eq!(read_network(&buf[..]).is_ok(), ok, "binary weight {w}");
+        }
     }
 
     #[test]

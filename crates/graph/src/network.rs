@@ -12,7 +12,7 @@
 //!   `u → v`, the slot of `u` within `v`'s adjacency list. Dijkstra uses it
 //!   to record parent slots (i.e. backtracking links) without scanning.
 
-use crate::ids::{Dist, NodeId, INFINITY};
+use crate::ids::{weight_in_domain, Dist, NodeId, INFINITY};
 use crate::point::Point;
 
 /// Slot of a neighbour within a node's adjacency list. Road junctions have
@@ -104,6 +104,16 @@ impl RoadNetwork {
             }
         }
         reached == n
+    }
+
+    /// The first edge, as `(u, v, w)` with `u < v`, whose weight lies
+    /// outside the weight domain ([`crate::ids::weight_in_domain`]); `None`
+    /// when every edge's is inside.
+    pub fn edge_out_of_domain(&self) -> Option<(NodeId, NodeId, Dist)> {
+        let n = self.num_nodes();
+        self.nodes()
+            .flat_map(|u| self.neighbors(u).map(move |(_, v, w)| (u, v, w)))
+            .find(|&(u, v, w)| u < v && !weight_in_domain(w, n))
     }
 
     /// Planar coordinate of `n`.

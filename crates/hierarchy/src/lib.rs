@@ -48,6 +48,6 @@ pub mod phast;
 pub mod query;
 
 pub use build::{ChConfig, ContractionHierarchy, UpArc};
-pub use labels::{HubLabels, LabelBuckets, LabelRepair};
+pub use labels::{HubLabels, Label, LabelBuckets, LabelRepair};
 pub use phast::PhastWorkspace;
 pub use query::ChWorkspace;

@@ -14,6 +14,11 @@
 //! removals and re-insertions, `ContractionHierarchy::repaired` keeps the
 //! order and answers like Dijkstra, and `HubLabels::repaired` over it is
 //! `HubLabels::build` of it, which is the pruned-landmark labelling again.
+//! Every one of these runs on narrow (`u16`) and wide (`u32`) distance
+//! columns: the weights × 10,000 networks push label distances past
+//! 65,535, and must scale every answer by exactly that factor. The
+//! branch-light merge is pinned to the three-way merge it replaced, entry
+//! counts included.
 
 use dsi_graph::ids::dist_add;
 use dsi_graph::{sssp, Dist, NetworkBuilder, NodeId, Point, RoadNetwork, INFINITY};
@@ -87,6 +92,40 @@ fn arb_clusters(max_w: u32) -> impl Strategy<Value = (RoadNetwork, usize)> {
         })
 }
 
+/// `net` with every finite weight multiplied by `factor`.
+fn scaled(net: &RoadNetwork, factor: Dist) -> RoadNetwork {
+    let mut out = net.clone();
+    for u in net.nodes() {
+        for (_, v, w) in net.neighbors(u) {
+            if u < v && w != INFINITY {
+                out.set_edge_weight(u, v, w * factor);
+            }
+        }
+    }
+    out
+}
+
+/// The three-way branching merge `HubLabels::p2p_counted` replaced: the
+/// reference for its distance and its entry count.
+fn branching_merge(hl: &HubLabels, s: NodeId, t: NodeId) -> (Dist, u64) {
+    let a: Vec<(NodeId, Dist)> = hl.label_of(s).collect();
+    let b: Vec<(NodeId, Dist)> = hl.label_of(t).collect();
+    let mut best = INFINITY;
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                best = best.min(dist_add(a[i].1, b[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (best, (i + j) as u64)
+}
+
 /// `HubLabels::build` over a hierarchy of `net` against
 /// `HubLabels::build_pruned` over `net`'s adjacency with the hierarchy's
 /// order reversed (hub-first): same hubs, same distances, node by node.
@@ -114,11 +153,11 @@ fn check_labels_match_pruned_landmarks(
     let hub_first: Vec<NodeId> = ch.order().iter().rev().copied().collect();
     let pll = HubLabels::build_pruned(&adj, &hub_first);
     for v in net.nodes() {
-        if hl.label_of(v) != pll.label_of(v) {
+        if !hl.label_of(v).eq(pll.label_of(v)) {
             return Err(format!(
                 "label of {v}: top-down {:?} vs pruned landmarks {:?}",
-                hl.label_of(v),
-                pll.label_of(v)
+                hl.label_of(v).collect::<Vec<_>>(),
+                pll.label_of(v).collect::<Vec<_>>()
             ));
         }
     }
@@ -296,20 +335,89 @@ proptest! {
 
     /// The top-down builder equals the pruned-landmark oracle on tie-heavy
     /// (weights 1–2), possibly disconnected networks, whether the hierarchy's
-    /// shortcuts are tight or not.
+    /// shortcuts are tight or not, and with every weight × 10,000.
     #[test]
     fn build_matches_pruned_landmarks(net in arb_network_with(3), wide in arb_network()) {
         for cfg in witness_caps() {
-            prop_assert_eq!(check_build_matches_pruned_landmarks(&net, &cfg), Ok(()));
-            prop_assert_eq!(check_build_matches_pruned_landmarks(&wide, &cfg), Ok(()));
+            for net in [&net, &wide, &scaled(&net, 10_000), &scaled(&wide, 10_000)] {
+                prop_assert_eq!(check_build_matches_pruned_landmarks(net, &cfg), Ok(()));
+            }
+        }
+    }
+
+    /// The branch-light merge takes the steps of the three-way merge it
+    /// replaced: the same distance and the same entry count on every pair,
+    /// tie-heavy and wide-weight networks alike, both distance widths.
+    #[test]
+    fn p2p_counted_equals_the_branching_merge(net in arb_network_with(3), wide in arb_network()) {
+        for net in [net.clone(), wide.clone(), scaled(&net, 10_000), scaled(&wide, 10_000)] {
+            let hl = HubLabels::build(&ContractionHierarchy::build(&net, &ChConfig::default()));
+            for s in net.nodes() {
+                for t in net.nodes() {
+                    prop_assert_eq!(hl.p2p_counted(s, t), branching_merge(&hl, s, t), "({}, {})", s, t);
+                }
+            }
+        }
+    }
+
+    /// Metamorphic: every weight × 10,000 gives the same labels hub for
+    /// hub with every distance × 10,000 — past 65,535 the distance column
+    /// goes `u32`, and `label_bytes` says so — and every answer scales by
+    /// the same factor with the same entry count: `p2p`, `one_to_many`,
+    /// `scan_within` (bounds scaled) and `knn`.
+    #[test]
+    fn wide_distances_scale_every_answer(
+        net in arb_network_with(3),
+        picks in proptest::collection::vec(0usize..28, 0..10),
+        mid in 0u32..12,
+        k_mid in 2usize..6,
+    ) {
+        const F: Dist = 10_000;
+        let up = |d: Dist| if d == INFINITY { INFINITY } else { d * F };
+        let (hl, targets) = labels_and_targets(&net, &picks);
+        let (wl, _) = labels_and_targets(&scaled(&net, F), &picks);
+        let (n, entries) = (net.num_nodes(), hl.num_entries());
+        prop_assert_eq!(hl.label_bytes(), 4 * (n + 1) + 4 * entries);
+        let top = net.nodes().flat_map(|v| wl.label_of(v)).map(|(_, d)| d).max().unwrap_or(0);
+        let dist_bytes = if top > u16::MAX as Dist { 4 } else { 2 };
+        prop_assert_eq!(wl.label_bytes(), 4 * (n + 1) + (2 + dist_bytes) * entries);
+        for v in net.nodes() {
+            prop_assert!(wl.label_of(v).eq(hl.label_of(v).map(|(h, d)| (h, up(d)))), "label of {}", v);
+        }
+        for s in net.nodes() {
+            for t in net.nodes() {
+                let (d, c) = hl.p2p_counted(s, t);
+                prop_assert_eq!(wl.p2p_counted(s, t), (up(d), c), "p2p({}, {})", s, t);
+            }
+        }
+        let (hb, wb) = (hl.buckets(&targets), wl.buckets(&targets));
+        let (mut dists, mut wide_dists) = (Vec::new(), Vec::new());
+        let (mut scratch, mut out, mut wide_out) = (Vec::new(), Vec::new(), Vec::new());
+        let scale = |out: &[(Dist, u32)]| out.iter().map(|&(d, r)| (up(d), r)).collect::<Vec<_>>();
+        for s in net.nodes() {
+            let c = hl.one_to_many(s, &hb, &mut dists);
+            prop_assert_eq!(wl.one_to_many(s, &wb, &mut wide_dists), c);
+            prop_assert_eq!(&wide_dists, &dists.iter().map(|&d| up(d)).collect::<Vec<_>>());
+            for (bound, wide_bound) in [(0, 0), (mid, mid * F), (INFINITY - 1, INFINITY - 1), (INFINITY, INFINITY)] {
+                let c = hl.scan_within(s, &hb, bound, &mut scratch, &mut out);
+                prop_assert_eq!(wl.scan_within(s, &wb, wide_bound, &mut scratch, &mut wide_out), c);
+                prop_assert_eq!(&wide_out, &scale(&out), "scan_within({}, {})", s, bound);
+            }
+            for k in [0, 1, k_mid, targets.len(), targets.len() + 3] {
+                let c = hl.knn(s, &hb, k, &mut scratch, &mut out);
+                prop_assert_eq!(wl.knn(s, &wb, k, &mut scratch, &mut wide_out), c);
+                prop_assert_eq!(&wide_out, &scale(&out), "knn({}, k = {})", s, k);
+            }
         }
     }
 
     /// Repaired ≡ rebuilt after every step of a chain of at least six, on
-    /// tie-heavy and wide-weight networks at every witness cap: increases,
-    /// decreases, removals (some disconnecting), re-insertions. One step in
-    /// four applies two edits before repairing, as a writer that fell
-    /// behind would — the same edge may then be logged twice.
+    /// tie-heavy and wide-weight networks at every witness cap, the latter
+    /// also with every weight × 10,000 (wide distance columns, which the
+    /// chain's small re-weightings may narrow): increases, decreases,
+    /// removals (some disconnecting), re-insertions. One step in four
+    /// applies two edits before repairing, as a writer that fell behind
+    /// would — the same edge may then be logged twice.
     #[test]
     fn repaired_equals_rebuilt_through_edit_chains(
         (tight, tight_n1) in arb_clusters(3),
@@ -317,8 +425,13 @@ proptest! {
         tight_steps in proptest::collection::vec((arb_edit(3), arb_edit(3), 0u8..4), 6..10),
         wide_steps in proptest::collection::vec((arb_edit(40), arb_edit(40), 0u8..4), 6..10),
     ) {
+        let scaled_wide = scaled(&wide, 10_000);
         for cfg in witness_caps() {
-            for (net, n1, steps) in [(&tight, tight_n1, &tight_steps), (&wide, wide_n1, &wide_steps)] {
+            for (net, n1, steps) in [
+                (&tight, tight_n1, &tight_steps),
+                (&wide, wide_n1, &wide_steps),
+                (&scaled_wide, wide_n1, &wide_steps),
+            ] {
                 let mut net = net.clone();
                 let mut ch = ContractionHierarchy::build(&net, &cfg);
                 let mut hl = HubLabels::build(&ch);
@@ -360,23 +473,20 @@ proptest! {
         let ch = ContractionHierarchy::build(&net, &ChConfig::default());
         let hl = HubLabels::build(&ch);
         for v in net.nodes() {
-            let (hs, ds) = hl.label_of(v);
-            prop_assert!(hs.windows(2).all(|w| w[0] < w[1]), "hubs of {} unsorted", v);
-            let self_at = hs.binary_search(&v);
+            let label: Vec<(NodeId, Dist)> = hl.label_of(v).collect();
+            prop_assert!(label.windows(2).all(|w| w[0].0 < w[1].0), "hubs of {} unsorted", v);
+            let self_at = label.binary_search_by_key(&v, |&(h, _)| h);
             prop_assert!(self_at.is_ok(), "{} missing its self entry", v);
-            prop_assert_eq!(ds[self_at.unwrap()], 0, "self entry of {} nonzero", v);
-            for (&h, &d) in hs.iter().zip(ds) {
+            prop_assert_eq!(label[self_at.unwrap()].1, 0, "self entry of {} nonzero", v);
+            for &(h, d) in &label {
                 if h == v {
                     continue;
                 }
-                let (hh, hd) = hl.label_of(h);
+                let of_h: Vec<(NodeId, Dist)> = hl.label_of(h).collect();
                 let mut alt = INFINITY;
-                for (&x, &dx) in hs.iter().zip(ds) {
-                    if x == h {
-                        continue;
-                    }
-                    if let Ok(i) = hh.binary_search(&x) {
-                        alt = alt.min(dist_add(dx, hd[i]));
+                for &(x, dx) in label.iter().filter(|&&(x, _)| x != h) {
+                    if let Ok(i) = of_h.binary_search_by_key(&x, |&(y, _)| y) {
+                        alt = alt.min(dist_add(dx, of_h[i].1));
                     }
                 }
                 prop_assert!(alt > d, "entry ({}, {}) of {} prunable via {}", h, d, v, alt);
@@ -427,7 +537,7 @@ proptest! {
         for s in net.nodes() {
             for bound in [0, mid, INFINITY - 1, INFINITY] {
                 let scanned = hl.scan_within(s, &buckets, bound, &mut scratch, &mut out);
-                prop_assert!(scanned >= hl.label_of(s).0.len() as u64);
+                prop_assert!(scanned >= hl.label_of(s).len() as u64);
                 prop_assert!(scratch.iter().all(|&d| d == INFINITY), "scratch left dirty");
                 prop_assert_eq!(scratch.len(), targets.len());
                 out.sort_unstable_by_key(|&(d, rank)| (rank, d));

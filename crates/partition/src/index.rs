@@ -106,8 +106,7 @@ impl GlueBuckets {
         let nb = glue.num_nodes();
         let mut buckets: Vec<Vec<(u32, Dist)>> = vec![Vec::new(); nb];
         for b in 0..nb {
-            let (hs, ds) = glue.label_of(NodeId(b as u32));
-            for (h, &d) in hs.iter().zip(ds) {
+            for (h, d) in glue.label_of(NodeId(b as u32)) {
                 buckets[h.index()].push((b as u32, d));
             }
         }

@@ -249,10 +249,10 @@ impl PartitionedIndex {
             if d0 > bound {
                 continue;
             }
-            let (hs, ds) = self.glue.label_of(NodeId(b));
+            let label = self.glue.label_of(NodeId(b));
             lookups += 1;
-            scanned += hs.len() as u64;
-            for (h, &dh) in hs.iter().zip(ds) {
+            scanned += label.len() as u64;
+            for (h, dh) in label {
                 let d = d0.saturating_add(dh);
                 if d < hub_min[h.index()] {
                     if hub_min[h.index()] == INFINITY {
@@ -290,16 +290,17 @@ impl PartitionedIndex {
             }
         } else if !seeded.is_empty() {
             for (bi, slot) in labels.iter_mut().enumerate() {
-                let (hs, ds) = self.glue.label_of(NodeId(bi as u32));
+                let label = self.glue.label_of(NodeId(bi as u32));
                 lookups += 1;
-                scanned += hs.len() as u64;
-                let mut best = INFINITY;
-                for (h, &dh) in hs.iter().zip(ds) {
+                scanned += label.len() as u64;
+                let best = label.fold(INFINITY, |best, (h, dh)| {
                     let m = hub_min[h.index()];
                     if m < best {
-                        best = best.min(m.saturating_add(dh));
+                        best.min(m.saturating_add(dh))
+                    } else {
+                        best
                     }
-                }
+                });
                 if best <= bound {
                     *slot = best;
                 }

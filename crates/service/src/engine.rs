@@ -109,6 +109,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use dsi_graph::ids::{max_weight, weight_in_domain};
 use dsi_graph::io::{load_network, read_objects, write_network, write_objects, LoadError};
 use dsi_graph::{Dist, NodeId, ObjectId, ObjectSet, RoadNetwork, INFINITY};
 use dsi_hierarchy::{ChConfig, ContractionHierarchy, HubLabels, LabelBuckets};
@@ -680,6 +681,25 @@ pub struct QueryService {
     kill_point: Mutex<Option<PublishKillPoint>>,
 }
 
+/// Why `updates` cannot go onto `net`, if they cannot: an edge the network
+/// does not have, or a weight outside the weight domain
+/// ([`dsi_graph::ids::max_weight`]).
+fn inapplicable(net: &RoadNetwork, updates: &[EdgeUpdate]) -> Option<String> {
+    let n = net.num_nodes();
+    updates.iter().find_map(|&(a, b, w)| {
+        if a.index() >= n || net.edge_weight(a, b).is_none() {
+            Some(format!("update of edge ({a}, {b}): the nodes are not adjacent"))
+        } else if !weight_in_domain(w, n) {
+            Some(format!(
+                "update of edge ({a}, {b}): weight {w} outside the weight domain 1..={} or INFINITY",
+                max_weight(n)
+            ))
+        } else {
+            None
+        }
+    })
+}
+
 impl QueryService {
     /// Build the index over `net`/`objects` and wrap it in a service. The
     /// contraction hierarchy is built first and handed to the signature
@@ -687,6 +707,10 @@ impl QueryService {
     /// ([`dsi_signature::BuildDistanceMode::Auto`] always picks a prebuilt
     /// hierarchy) — one preprocessing pass amortized across index build,
     /// query backends, and the fault ladder's in-memory rung.
+    ///
+    /// # Panics
+    /// If an edge weight of `net` lies outside the weight domain
+    /// ([`dsi_graph::ids::max_weight`]).
     pub fn new(
         net: RoadNetwork,
         objects: ObjectSet,
@@ -705,6 +729,9 @@ impl QueryService {
     /// [`ServiceConfig::partitions`] > 1) are built with the default
     /// signature configuration; build through [`Self::new`] (or
     /// [`Self::recover`]) to carry a custom one.
+    ///
+    /// # Panics
+    /// As [`Self::new`], on a weight outside the weight domain.
     pub fn from_parts(
         net: RoadNetwork,
         objects: ObjectSet,
@@ -724,6 +751,12 @@ impl QueryService {
         sig: SignatureConfig,
         epoch: u64,
     ) -> Self {
+        if let Some((u, v, w)) = net.edge_out_of_domain() {
+            panic!(
+                "edge ({u}, {v}) weighs {w}, outside the weight domain: 1..={} or INFINITY",
+                max_weight(net.num_nodes())
+            );
+        }
         let objects = Arc::new(objects);
         let parted = (cfg.partitions > 1)
             .then(|| PartitionedEngine::build(&net, &objects, &sig, cfg.partitions));
@@ -1209,10 +1242,11 @@ impl QueryService {
     ///    journal it, patch the acknowledged network, snapshot it with the
     ///    live epoch. A journal failure aborts here — nothing is patched and
     ///    the service keeps serving its pre-update epochs — and so does a
-    ///    batch naming an edge the network does not have, or closing edges
-    ///    (weight [`dsi_graph::INFINITY`]) so that some node can no longer
-    ///    reach every other (`ErrorKind::InvalidInput`, checked before
-    ///    anything is journaled).
+    ///    batch naming an edge the network does not have, setting a weight
+    ///    outside the weight domain ([`dsi_graph::ids::max_weight`]), or
+    ///    closing edges (weight [`dsi_graph::INFINITY`]) so that some node
+    ///    can no longer reach every other (`ErrorKind::InvalidInput`,
+    ///    checked before anything is journaled).
     /// 2. **Build** (no locks): construct the shadow epoch from the
     ///    snapshot — hierarchy and label repair, the signature index
     ///    patched from the old and new labels, wholesale partition rebuild
@@ -1241,15 +1275,11 @@ impl QueryService {
             let mut m = self.maint.lock().expect("maint lock");
             let t = Instant::now();
             // Nothing is journaled or patched unless the whole batch names
-            // edges of the network and leaves it connected: a record that
-            // cannot be applied would fail again on every replay.
-            if let Some(&(a, b, _)) = updates.iter().find(|&&(a, b, _)| {
-                a.index() >= m.net.num_nodes() || m.net.edge_weight(a, b).is_none()
-            }) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("update of edge ({a}, {b}): the nodes are not adjacent"),
-                ));
+            // edges of the network, keeps to the weight domain and leaves
+            // the network connected: a record that cannot be applied would
+            // fail again on every replay.
+            if let Some(why) = inapplicable(&m.net, updates) {
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
             }
             if updates.iter().any(|&(_, _, w)| w == INFINITY) {
                 let mut probe = m.net.clone();
@@ -1619,6 +1649,14 @@ impl QueryService {
                 (net, objects, Err(partition), updates)
             }
         };
+        // The service refuses such records before journaling them; one in
+        // the log is damage, not history.
+        if let Some(why) = inapplicable(&net, &suffix) {
+            return Err(LoadError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("journal record: {why}"),
+            )));
+        }
         let from_checkpoint = start.is_ok();
         let replayed = suffix.len() as u64;
         for &(a, b, w) in &suffix {

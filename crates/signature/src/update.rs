@@ -277,8 +277,7 @@ impl LabelWalk {
 
     fn begin(&mut self, old: &HubLabels, new: &HubLabels, host: NodeId) {
         for (k, hl) in [old, new].into_iter().enumerate() {
-            let (hubs, dists) = hl.label_of(host);
-            for (h, &d) in hubs.iter().zip(dists) {
+            for (h, d) in hl.label_of(host) {
                 self.hub[k][h.index()] = d;
             }
         }
@@ -289,7 +288,7 @@ impl LabelWalk {
 
     fn end(&mut self, old: &HubLabels, new: &HubLabels, host: NodeId) {
         for (k, hl) in [old, new].into_iter().enumerate() {
-            for h in hl.label_of(host).0 {
+            for (h, _) in hl.label_of(host) {
                 self.hub[k][h.index()] = INFINITY;
             }
         }
@@ -303,10 +302,8 @@ impl LabelWalk {
     /// `v`'s distance to the host under label set `k`: one pass over `v`'s
     /// label against the dense hub array.
     fn dist(&self, hl: &HubLabels, k: usize, v: NodeId) -> Dist {
-        let (hubs, dists) = hl.label_of(v);
-        hubs.iter()
-            .zip(dists)
-            .map(|(h, &d)| dsi_graph::ids::dist_add(d, self.hub[k][h.index()]))
+        hl.label_of(v)
+            .map(|(h, d)| dsi_graph::ids::dist_add(d, self.hub[k][h.index()]))
             .min()
             .unwrap_or(INFINITY)
     }

@@ -29,10 +29,14 @@ echo "== cargo test --release (the optimised kernels are the ones under test) ==
 # run here too: the slicing-by-16 CRC-32 that verifies every buffer miss
 # on a file-backed store, checked bit for bit against the bytewise
 # reference (tests/persistence_and_cnn.rs), and the page-file and
-# checkpoint fuzz.
+# checkpoint fuzz. The hub labels' narrow (u16) and wide (u32) columns
+# run through every backend of the service at K = 1 and K = 3, with the
+# weight domain's refusals and its largest admissible weight, across a
+# recovery (tests/service_backends.rs).
 cargo test --release -q -p dsi-graph -p dsi-hierarchy -p dsi-signature -p dsi-storage
 cargo test --release -q --test label_maintenance
 cargo test --release -q --test persistence_and_cnn
+cargo test --release -q --test service_backends
 
 echo "== cargo bench --no-run (benches must keep compiling) =="
 cargo bench --workspace --no-run

@@ -7,13 +7,20 @@
 //! query then degrades onto the label oracle, the answers do not move, and
 //! the service's lifetime degraded count equals the batch's. A third
 //! closes every edge of one node: the batch would disconnect the network,
-//! so it is refused before it is journaled, and nothing moves.
+//! so it is refused before it is journaled, and nothing moves. A fourth
+//! walks the weight domain's edges: weight 0 and `INFINITY − 1` are refused
+//! the same way (and a journal record carrying one makes recovery fail with
+//! `InvalidData`), while the largest admissible weight on all of node 14's
+//! edges is accepted and served exactly — by labels whose distance column
+//! then has to be `u32` wide — before and after a recovery.
 
 use distance_signature::graph::generate::{random_planar, PlanarConfig};
+use distance_signature::graph::ids::max_weight;
 use distance_signature::graph::{NodeId, ObjectSet, INFINITY};
+use distance_signature::service::journal::JOURNAL_FILE;
 use distance_signature::service::{
-    generate, Backend, EdgeUpdate, Query, QueryOutput, QueryService, ServiceConfig, WorkloadConfig,
-    WorkloadMix,
+    generate, Backend, EdgeUpdate, Query, QueryOutput, QueryService, ServiceConfig, UpdateJournal,
+    WorkloadConfig, WorkloadMix,
 };
 use distance_signature::signature::{KnnResult, SignatureConfig};
 use distance_signature::storage::FaultPlan;
@@ -102,8 +109,9 @@ fn every_backend_answers_like_dijkstra() {
     assert_eq!(service.hierarchy_fallback_count(), 0);
 }
 
-/// Every other backend of `service` against `Backend::Dijkstra` on
-/// `batch`, tie-tolerant at the kNN cut for the paged ones.
+/// Every other backend of `service` — signature, sharded, hierarchy and hub
+/// labels — against `Backend::Dijkstra` on `batch`, tie-tolerant at the
+/// kNN cut for the paged ones.
 fn assert_backends_answer_like_dijkstra(service: &QueryService, batch: &[Query], when: &str) {
     let truth = service.serve_batch_on(Backend::Dijkstra, batch, 2);
     for backend in [
@@ -208,6 +216,85 @@ fn a_batch_that_would_disconnect_the_network_is_refused() {
         assert_eq!(report.epoch, 1);
         assert_eq!(answers(&service), after, "K = {partitions}: recovered");
         assert_backends_answer_like_dijkstra(&service, &batch, "recovered: ");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn weights_outside_the_domain_are_refused_and_the_widest_is_served() {
+    for partitions in [1, PARTITIONS] {
+        let dir = std::env::temp_dir().join(format!(
+            "dsi_weight_domain_k{partitions}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServiceConfig {
+            shards: 4,
+            partitions,
+            ..ServiceConfig::default()
+        };
+        let service = service_with(cfg);
+        service.attach_maintenance_log(&dir).unwrap();
+        let batch = batch(&service);
+        let node = NodeId(14);
+        let net = service.net();
+        let edges: Vec<NodeId> = net.neighbors(node).map(|(_, b, _)| b).collect();
+        assert_eq!(edges.len(), 3, "the fixture's node 14 has three edges");
+        let top = max_weight(net.num_nodes());
+
+        // Weight 0 and INFINITY - 1: refused before the journal, nothing moves.
+        for w in [0, INFINITY - 1, top + 1] {
+            let err = service
+                .try_apply_updates(&[(node, edges[0], w)])
+                .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "weight {w}");
+            assert_eq!(service.epoch(), 0, "weight {w}");
+            assert_eq!(service.journal_len(), Some(0), "weight {w} was journaled");
+            assert_backends_answer_like_dijkstra(&service, &batch, &format!("after {w}: "));
+        }
+
+        // The largest admissible weight on all three edges: accepted, exact.
+        let widest: Vec<EdgeUpdate> = edges.iter().map(|&b| (node, b, top)).collect();
+        service.try_apply_updates(&widest).unwrap();
+        assert_eq!(service.epoch(), 1);
+        let wide_labels = |s: &QueryService, when: &str| {
+            let ep = s.snapshot();
+            let hl = ep.hub_labels().unwrap();
+            // Node 14's label distances exceed 65,535: 2-byte hubs, 4-byte
+            // distances.
+            assert_eq!(
+                hl.label_bytes(),
+                4 * (hl.num_nodes() + 1) + 6 * hl.num_entries(),
+                "K = {partitions}, {when}: label columns"
+            );
+        };
+        wide_labels(&service, "published");
+        assert_backends_answer_like_dijkstra(&service, &batch, "widest weights: ");
+        let after = service.serve_batch_on(Backend::Dijkstra, &batch, 2).outputs;
+        drop(service);
+        let (service, report) =
+            QueryService::recover(&dir, &SignatureConfig::default(), &cfg).unwrap();
+        assert_eq!(report.epoch, 1);
+        wide_labels(&service, "recovered");
+        let recovered = service.serve_batch_on(Backend::Dijkstra, &batch, 2).outputs;
+        assert_eq!(recovered, after, "K = {partitions}: recovered");
+        assert_backends_answer_like_dijkstra(&service, &batch, "recovered: ");
+        drop(service);
+
+        // A record the service would have refused, found in the log: the
+        // log is damaged, and recovery says so instead of replaying it.
+        let (mut wal, _) = UpdateJournal::open(dir.join(JOURNAL_FILE)).unwrap();
+        wal.append(&[(node, edges[1], 0)]).unwrap();
+        drop(wal);
+        let err = QueryService::recover(&dir, &SignatureConfig::default(), &cfg)
+            .err()
+            .expect("a weight-0 record recovered");
+        match err {
+            distance_signature::graph::io::LoadError::Io(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}")
+            }
+            other => panic!("K = {partitions}: {other}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
