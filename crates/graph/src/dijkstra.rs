@@ -1,5 +1,5 @@
 //! Shortest-path algorithms: Dijkstra (full / bounded / incremental
-//! expansion), multi-source Dijkstra, and A*.
+//! expansion) and multi-source Dijkstra.
 //!
 //! All variants record, for every settled node `v`, the *parent slot*: the
 //! adjacency slot of `v`'s shortest-path predecessor within `v`'s own
@@ -21,9 +21,6 @@
 //! per node. Parent choice and intra-distance settle order may differ
 //! between substrates (both break distance ties differently); no caller may
 //! rely on them beyond validity.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::ids::{Dist, NodeId, INFINITY, NO_NODE};
 use crate::network::{RoadNetwork, Slot};
@@ -50,34 +47,17 @@ impl SsspTree {
     /// Shortest path from the source to `v` (inclusive of both endpoints),
     /// or `None` if `v` is unreachable.
     pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        let mut path = Vec::new();
-        self.path_into(v, &mut path).then_some(path)
-    }
-
-    /// Write the shortest path from the source to `v` into `buf` (cleared
-    /// first), returning `false` and leaving `buf` empty if `v` is
-    /// unreachable. Two passes — a depth count, then a back-to-front fill —
-    /// so `buf` is sized exactly once and never reversed; callers on hot
-    /// paths reuse one buffer across calls.
-    pub fn path_into(&self, v: NodeId, buf: &mut Vec<NodeId>) -> bool {
-        buf.clear();
         if self.dist[v.index()] == INFINITY {
-            return false;
+            return None;
         }
-        let mut len = 1usize;
+        let mut path = vec![v];
         let mut cur = v;
         while cur != self.source {
             cur = self.parent[cur.index()];
-            len += 1;
+            path.push(cur);
         }
-        buf.resize(len, v);
-        let mut cur = v;
-        for i in (1..len).rev() {
-            buf[i] = cur;
-            cur = self.parent[cur.index()];
-        }
-        buf[0] = self.source;
-        true
+        path.reverse();
+        Some(path)
     }
 }
 
@@ -393,9 +373,9 @@ pub fn multi_source_with(
 }
 
 /// The largest factor `f` such that `f * euclidean(u, v) <= w(u, v)` for
-/// every finite edge — i.e. the scale making Euclidean distance an admissible
-/// A* heuristic on this network. Returns `0.0` when a zero-length edge exists
-/// (heuristic degenerates to Dijkstra).
+/// every finite edge — i.e. the scale making Euclidean distance a lower
+/// bound on network distance (IER's filter). Returns `0.0` when a
+/// zero-length edge exists (the bound degenerates to 0).
 pub fn euclidean_lower_bound_scale(net: &RoadNetwork) -> f64 {
     let mut scale = f64::INFINITY;
     for u in net.nodes() {
@@ -415,60 +395,6 @@ pub fn euclidean_lower_bound_scale(net: &RoadNetwork) -> f64 {
     } else {
         0.0
     }
-}
-
-/// A* point-to-point search with the heuristic `h(v) = h_scale *
-/// euclidean(v, target)`. `h_scale` must make `h` a lower bound on network
-/// distance (see [`euclidean_lower_bound_scale`]); `h_scale = 0` reduces to
-/// plain Dijkstra. Returns `(distance, path)` or `None` when disconnected.
-///
-/// A* keys (`dist + h`) are not monotone steps of edge weights, so this
-/// search always runs on the binary heap, whatever the network's weight
-/// bound.
-pub fn astar(
-    net: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    h_scale: f64,
-) -> Option<(Dist, Vec<NodeId>)> {
-    let n = net.num_nodes();
-    let tp = net.coord(target);
-    let h = |v: NodeId| -> Dist { (h_scale * net.coord(v).dist(tp)).floor() as Dist };
-    let mut dist = vec![INFINITY; n];
-    let mut parent = vec![NO_NODE; n];
-    let mut settled = vec![false; n];
-    dist[source.index()] = 0;
-    let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
-    heap.push(Reverse((h(source), source)));
-    while let Some(Reverse((_, u))) = heap.pop() {
-        if settled[u.index()] {
-            continue;
-        }
-        settled[u.index()] = true;
-        if u == target {
-            let mut path = vec![u];
-            let mut cur = u;
-            while cur != source {
-                cur = parent[cur.index()];
-                path.push(cur);
-            }
-            path.reverse();
-            return Some((dist[target.index()], path));
-        }
-        let du = dist[u.index()];
-        for (_, v, w) in net.neighbors(u) {
-            if w == INFINITY || settled[v.index()] {
-                continue;
-            }
-            let nd = du + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                parent[v.index()] = u;
-                heap.push(Reverse((nd + h(v), v)));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -539,18 +465,16 @@ mod tests {
     }
 
     #[test]
-    fn path_into_reuses_a_buffer_and_reports_unreachable() {
+    fn path_to_reports_unreachable_and_the_source() {
         let mut g = line(&[1, 2, 1]);
         g.set_edge_weight(NodeId(2), NodeId(3), INFINITY);
         let t = sssp(&g, NodeId(0));
-        let mut buf = vec![NodeId(99); 100]; // stale content must not leak
-        assert!(t.path_into(NodeId(2), &mut buf));
-        assert_eq!(buf, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert!(!t.path_into(NodeId(3), &mut buf), "unreachable");
-        assert!(buf.is_empty());
-        // Path to the source itself is just the source.
-        assert!(t.path_into(NodeId(0), &mut buf));
-        assert_eq!(buf, vec![NodeId(0)]);
+        assert_eq!(
+            t.path_to(NodeId(2)),
+            Some(vec![NodeId(0), NodeId(1), NodeId(2)])
+        );
+        assert_eq!(t.path_to(NodeId(3)), None, "unreachable");
+        assert_eq!(t.path_to(NodeId(0)), Some(vec![NodeId(0)]));
     }
 
     #[test]
@@ -674,27 +598,6 @@ mod tests {
                 "owner must be a nearest source"
             );
         }
-    }
-
-    #[test]
-    fn astar_matches_dijkstra() {
-        let g = grid(10, 10);
-        let scale = euclidean_lower_bound_scale(&g);
-        assert!(scale > 0.0);
-        let t = sssp(&g, NodeId(3));
-        for &target in &[NodeId(97), NodeId(0), NodeId(55)] {
-            let (d, path) = astar(&g, NodeId(3), target, scale).unwrap();
-            assert_eq!(d, t.dist[target.index()]);
-            assert_eq!(path.first(), Some(&NodeId(3)));
-            assert_eq!(path.last(), Some(&target));
-        }
-    }
-
-    #[test]
-    fn astar_disconnected_returns_none() {
-        let mut g = line(&[1, 1]);
-        g.set_edge_weight(NodeId(0), NodeId(1), INFINITY);
-        assert!(astar(&g, NodeId(0), NodeId(2), 0.0).is_none());
     }
 
     #[test]

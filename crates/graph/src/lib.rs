@@ -15,7 +15,7 @@
 //!   expansion) on a pluggable queue substrate — Dial buckets on
 //!   small-integer weights, binary heap otherwise ([`queue`]) — with
 //!   reusable epoch-stamped state for high-volume callers ([`workspace`]),
-//!   multi-source Dijkstra, A*, and per-object shortest-path spanning trees
+//!   multi-source Dijkstra, and per-object shortest-path spanning trees
 //!   (the intermediate structures kept for signature maintenance in
 //!   Section 5.4).
 //!
@@ -35,7 +35,7 @@ pub mod workspace;
 
 pub use dataset::ObjectSet;
 pub use dijkstra::{
-    astar, multi_source, multi_source_with, sssp, sssp_bounded, sssp_bounded_into,
+    multi_source, multi_source_with, sssp, sssp_bounded, sssp_bounded_into,
     sssp_bounded_with_backend, sssp_into, sssp_with_backend, DijkstraExpansion, MultiSourceResult,
     SsspTree,
 };

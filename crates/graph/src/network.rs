@@ -192,17 +192,6 @@ impl RoadNetwork {
         (lo..hi).find(|&i| self.targets[i] == v)
     }
 
-    /// Total finite edge weight — handy as an upper bound on any shortest
-    /// path length (used to size distance spectra).
-    pub fn total_weight(&self) -> u64 {
-        self.weights
-            .iter()
-            .filter(|&&w| w != INFINITY)
-            .map(|&w| w as u64)
-            .sum::<u64>()
-            / 2
-    }
-
     /// Size in bytes of node `n`'s adjacency-list record on disk: one slot
     /// per neighbour with a 4-byte target id and a 4-byte weight, plus a
     /// 2-byte degree header. Used by the CCAM page layout.
@@ -529,12 +518,6 @@ mod tests {
         // Removal never counts as a weight.
         g.set_edge_weight(NodeId(0), NodeId(1), INFINITY);
         assert_eq!(g.edge_weight_bound(), 20);
-    }
-
-    #[test]
-    fn total_weight_sums_each_edge_once() {
-        let g = small_net();
-        assert_eq!(g.total_weight(), 8 + 1 + 4 + 6 + 3 + 5 + 4 + 6 + 5);
     }
 
     #[test]

@@ -21,14 +21,13 @@
 //! Edge insertion/removal is expressed as weight changes to/from
 //! [`INFINITY`], which keeps adjacency slots (and hence backtracking links)
 //! stable. The paper additionally keeps a reverse index from edges to the
-//! spanning trees containing them; [`ReverseEdgeIndex`] provides it as an
-//! optional accelerator — with a moderate dataset cardinality `D` (the
-//! paper's own operating assumption) the `O(D)` parent check is equally fast
-//! and needs no extra memory, so [`SpanningForest::update_edge`] uses the
-//! scan and the index is validated against it.
+//! spanning trees containing them; with a moderate dataset cardinality `D`
+//! (the paper's own operating assumption) the `O(D)` parent check is equally
+//! fast and needs no extra memory, so [`SpanningForest::update_edge`] scans
+//! the trees instead.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::dataset::ObjectSet;
 use crate::dijkstra::{sssp, sssp_into, SsspTree};
@@ -479,97 +478,6 @@ fn repair_subtree(
     }
 }
 
-/// Edge → spanning-trees reverse index (paper §5.4), mapping each undirected
-/// edge to the objects whose tree uses it. Optional accelerator; kept
-/// consistent by re-deriving entries from [`ForestDelta`]s.
-#[derive(Clone, Debug, Default)]
-pub struct ReverseEdgeIndex {
-    map: HashMap<(NodeId, NodeId), Vec<ObjectId>>,
-}
-
-fn edge_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-impl ReverseEdgeIndex {
-    /// Build from the current forest.
-    pub fn build(forest: &SpanningForest) -> Self {
-        let mut map: HashMap<(NodeId, NodeId), Vec<ObjectId>> = HashMap::new();
-        for o in 0..forest.len() as u32 {
-            let t = forest.tree(ObjectId(o));
-            for (vi, &p) in t.parent.iter().enumerate() {
-                if p != NO_NODE {
-                    map.entry(edge_key(NodeId(vi as u32), p))
-                        .or_default()
-                        .push(ObjectId(o));
-                }
-            }
-        }
-        ReverseEdgeIndex { map }
-    }
-
-    /// Objects whose spanning tree uses `{a, b}`.
-    pub fn users(&self, a: NodeId, b: NodeId) -> &[ObjectId] {
-        self.map
-            .get(&edge_key(a, b))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Refresh the index after a forest update: each changed node's old
-    /// parent edge entry is dropped and the new one inserted.
-    pub fn apply(&mut self, forest: &SpanningForest, delta: &ForestDelta) {
-        for td in &delta.per_object {
-            let t = forest.tree(td.object);
-            for &(v, _, _) in &td.changed {
-                // Drop any stale entries for v: scan v's incident edges.
-                for key in self
-                    .map
-                    .keys()
-                    .filter(|&&(x, y)| x == v || y == v)
-                    .copied()
-                    .collect::<Vec<_>>()
-                {
-                    if let Some(users) = self.map.get_mut(&key) {
-                        users.retain(|&o| {
-                            if o != td.object {
-                                return true;
-                            }
-                            // Keep only if this is still v's (or its
-                            // counterpart's) parent edge.
-                            let (x, y) = key;
-                            t.parent[x.index()] == y || t.parent[y.index()] == x
-                        });
-                        if users.is_empty() {
-                            self.map.remove(&key);
-                        }
-                    }
-                }
-                let p = t.parent[v.index()];
-                if p != NO_NODE {
-                    let users = self.map.entry(edge_key(v, p)).or_default();
-                    if !users.contains(&td.object) {
-                        users.push(td.object);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of indexed edges.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,50 +682,6 @@ mod tests {
             forest.scratch.base < u32::MAX / 2,
             "counter never rolled over"
         );
-    }
-
-    #[test]
-    fn reverse_index_matches_scan() {
-        let (net, _objs, forest) = setup(7);
-        let idx = ReverseEdgeIndex::build(&forest);
-        for u in net.nodes() {
-            for (_, v, _) in net.neighbors(u) {
-                if u < v {
-                    let mut a = idx.users(u, v).to_vec();
-                    let mut b = forest.objects_using_edge(u, v);
-                    a.sort();
-                    b.sort();
-                    assert_eq!(a, b, "edge {u}-{v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reverse_index_stays_consistent_after_updates() {
-        let (mut net, _objs, mut forest) = setup(8);
-        let mut idx = ReverseEdgeIndex::build(&forest);
-        let mut rng = StdRng::seed_from_u64(42);
-        for round in 0..10 {
-            let u = NodeId(rng.gen_range(0..net.num_nodes() as u32));
-            let nbrs: Vec<_> = net.neighbors(u).collect();
-            let (_, v, w) = nbrs[rng.gen_range(0..nbrs.len())];
-            let new_w = if round % 2 == 0 { w + 3 } else { w.max(2) - 1 };
-            let delta = forest.update_edge(&mut net, u, v, new_w);
-            idx.apply(&forest, &delta);
-        }
-        let fresh = ReverseEdgeIndex::build(&forest);
-        for u in net.nodes() {
-            for (_, v, _) in net.neighbors(u) {
-                if u < v {
-                    let mut a = idx.users(u, v).to_vec();
-                    let mut b = fresh.users(u, v).to_vec();
-                    a.sort();
-                    b.sort();
-                    assert_eq!(a, b, "edge {u}-{v} after updates");
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 
 use dsi_graph::spanning::SpanningForest;
 use dsi_graph::{
-    astar, multi_source, sssp, Dist, NetworkBuilder, NodeId, ObjectSet, Point, RoadNetwork,
-    INFINITY,
+    multi_source, sssp, Dist, NetworkBuilder, NodeId, ObjectSet, Point, RoadNetwork, INFINITY,
 };
 use proptest::prelude::*;
 
@@ -118,16 +117,6 @@ proptest! {
         let src = NodeId((src % net.num_nodes()) as u32);
         let tree = sssp(&net, src);
         prop_assert_eq!(tree.dist, bellman_ford(&net, src));
-    }
-
-    #[test]
-    fn astar_matches_dijkstra_everywhere(net in arb_network(), src in 0usize..24, dst in 0usize..24) {
-        let src = NodeId((src % net.num_nodes()) as u32);
-        let dst = NodeId((dst % net.num_nodes()) as u32);
-        let scale = dsi_graph::dijkstra::euclidean_lower_bound_scale(&net);
-        let tree = sssp(&net, src);
-        let got = astar(&net, src, dst, scale).map(|(d, _)| d);
-        prop_assert_eq!(got, Some(tree.dist[dst.index()]));
     }
 
     #[test]

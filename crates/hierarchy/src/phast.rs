@@ -31,13 +31,6 @@ impl PhastWorkspace {
         PhastWorkspace::default()
     }
 
-    /// Distance of `v` from the last run's source ([`INFINITY`] if
-    /// unreachable).
-    #[inline]
-    pub fn dist(&self, v: NodeId) -> Dist {
-        self.dist[v.index()]
-    }
-
     /// All distances from the last run's source, indexed by node.
     #[inline]
     pub fn dists(&self) -> &[Dist] {
@@ -77,26 +70,6 @@ impl ContractionHierarchy {
                 }
             }
         }
-    }
-
-    /// Exact distance table `sources × targets`: one PHAST sweep per
-    /// source, reading only the target slots out of each dense result.
-    /// This is the boundary-overlay primitive for partitioned indexes
-    /// (`dsi-partition`): with sources = a region's boundary nodes it
-    /// yields the remote-hop glue rows a shard router needs.
-    pub fn many_to_many(
-        &self,
-        sources: &[NodeId],
-        targets: &[NodeId],
-        ws: &mut PhastWorkspace,
-    ) -> Vec<Vec<Dist>> {
-        sources
-            .iter()
-            .map(|&s| {
-                self.sssp_phast(s, ws);
-                targets.iter().map(|&t| ws.dist(t)).collect()
-            })
-            .collect()
     }
 }
 
@@ -150,8 +123,8 @@ mod tests {
         let ch = ContractionHierarchy::build(&net, &ChConfig::default());
         let mut ws = PhastWorkspace::new();
         ch.sssp_phast(ids[0], &mut ws);
-        assert_eq!(ws.dist(ids[1]), 2);
-        assert_eq!(ws.dist(ids[2]), INFINITY);
-        assert_eq!(ws.dist(ids[4]), INFINITY);
+        assert_eq!(ws.dists()[ids[1].index()], 2);
+        assert_eq!(ws.dists()[ids[2].index()], INFINITY);
+        assert_eq!(ws.dists()[ids[4].index()], INFINITY);
     }
 }

@@ -29,7 +29,7 @@
 
 use crate::partitioner::Partitioning;
 use dsi_graph::{Dist, NodeId, ObjectId, ObjectSet, Point, RoadNetwork, INFINITY};
-use dsi_hierarchy::{ChConfig, ContractionHierarchy, HubLabels};
+use dsi_hierarchy::HubLabels;
 
 use dsi_signature::{SignatureBuildWorkspace, SignatureConfig, SignatureIndex};
 use std::cmp::Reverse;
@@ -468,20 +468,15 @@ fn build_part(
         .enumerate()
         .all(|(i, &(_, b))| b as usize == shape.boundary_base[p] + i));
 
-    let n_p = subnet.num_nodes();
     let capture: Vec<ObjectId> = boundary_objs.iter().map(|&(lo, _)| lo).collect();
 
     let part_cfg = SignatureConfig {
         parallel: false,
         ..config.clone()
     };
-    // Same substrate policy as a single-index build, decided per region.
-    let ch = config
-        .build_distance
-        .use_hierarchy(n_p, part_objects.len(), false)
-        .then(|| ContractionHierarchy::build(&subnet, &ChConfig::default()));
+    // Same substrate rule as a single-index build, decided per region.
     let (index, rows) =
-        SignatureIndex::build_serial(&subnet, &part_objects, &part_cfg, ch.as_ref(), ws, &capture);
+        SignatureIndex::build_serial(&subnet, &part_objects, &part_cfg, ws, &capture);
 
     BuiltPart {
         region: Region {

@@ -164,10 +164,4 @@ impl Partitioning {
     pub fn cuts(&self, p: usize) -> &[CutEdge] {
         &self.cuts[p]
     }
-
-    /// Number of undirected cut edges in the whole partitioning.
-    pub fn num_cut_edges(&self) -> usize {
-        let directed: usize = self.cuts.iter().map(Vec::len).sum();
-        directed / 2
-    }
 }

@@ -74,7 +74,7 @@ impl PartitionedIndex {
         q: NodeId,
         k: usize,
     ) -> OpResult<Vec<KnnResult>> {
-        let dists = self.all_dists_bounded(sess, part, q, Some(k))?;
+        let dists = self.all_dists_bounded(sess, part, q, k)?;
         let mut pairs: Vec<(Dist, ObjectId)> = dists
             .iter()
             .enumerate()
@@ -130,31 +130,21 @@ impl PartitionedIndex {
         Ok(pairs)
     }
 
-    /// Exact `d_G(q, o)` for **every** global object, indexed by object id.
-    /// `q` is a global node; `sess` must belong to `part = part_of(q)`.
-    pub fn try_all_dists(
-        &self,
-        sess: &mut Session<'_>,
-        part: usize,
-        q: NodeId,
-    ) -> OpResult<Vec<Dist>> {
-        self.all_dists_bounded(sess, part, q, None)
-    }
-
-    /// [`try_all_dists`](Self::try_all_dists), optionally glue-pruned for a
-    /// kNN caller: with `knn_k = Some(k)`, the k-th smallest *local*
-    /// candidate distance caps the boundary expansion. Remote contributions
-    /// only ever lower a distance, so the final k-th answer is ≤ that cap;
-    /// any path through a boundary label past it can neither reach the
-    /// top k nor change a value that does. Entries past the cap may then
-    /// stay at their unimproved local value (or `INFINITY`) — exactly the
-    /// entries a k-truncation discards.
+    /// Exact `d_G(q, o)` for every global object, indexed by object id, as
+    /// far as a kNN caller needs them. `q` is a global node; `sess` must
+    /// belong to `part = part_of(q)`. With `k > 0`, the k-th smallest
+    /// *local* candidate distance caps the boundary expansion. Remote
+    /// contributions only ever lower a distance, so the final k-th answer
+    /// is ≤ that cap; any path through a boundary label past it can neither
+    /// reach the top k nor change a value that does. Entries past the cap
+    /// may then stay at their unimproved local value (or `INFINITY`) —
+    /// exactly the entries a k-truncation discards.
     fn all_dists_bounded(
         &self,
         sess: &mut Session<'_>,
         part: usize,
         q: NodeId,
-        knn_k: Option<usize>,
+        k: usize,
     ) -> OpResult<Vec<Dist>> {
         debug_assert_eq!(self.part_of(q), part);
         let ql = self.local_node(q);
@@ -163,21 +153,20 @@ impl PartitionedIndex {
         for &(lo, go) in &r.real_objs {
             dists[go.index()] = sess.try_retrieve_exact(ql, lo)?;
         }
-        let bound = match knn_k {
-            Some(k) if k > 0 => {
-                let mut local: Vec<Dist> = r
-                    .real_objs
-                    .iter()
-                    .map(|&(_, go)| dists[go.index()])
-                    .filter(|&d| d != INFINITY)
-                    .collect();
-                if local.len() >= k {
-                    *local.select_nth_unstable(k - 1).1
-                } else {
-                    INFINITY
-                }
+        let bound = if k > 0 {
+            let mut local: Vec<Dist> = r
+                .real_objs
+                .iter()
+                .map(|&(_, go)| dists[go.index()])
+                .filter(|&d| d != INFINITY)
+                .collect();
+            if local.len() >= k {
+                *local.select_nth_unstable(k - 1).1
+            } else {
+                INFINITY
             }
-            _ => INFINITY,
+        } else {
+            INFINITY
         };
         let mut init = Vec::with_capacity(r.boundary_objs.len());
         for &(lo, b) in &r.boundary_objs {
@@ -413,13 +402,6 @@ impl<'a> ShardedSessions<'a> {
             })
             .collect();
         merge_segments(sets.into_iter())
-    }
-
-    /// Set the entry-granular decode policy on every region session.
-    pub fn set_entry_decode(&mut self, mode: dsi_signature::EntryDecodeMode) {
-        for s in self.states.iter_mut() {
-            s.as_mut().expect("state parked").set_entry_decode(mode);
-        }
     }
 
     /// Merged IO counters across all region sessions.

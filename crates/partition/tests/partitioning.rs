@@ -71,10 +71,8 @@ proptest! {
 
         // Every recorded cut is a real cross-region edge, and its mirror is
         // recorded by the other side.
-        let mut directed = 0usize;
         for p in 0..part.num_parts() {
             for cut in part.cuts(p) {
-                directed += 1;
                 prop_assert_eq!(part.part_of(cut.local), p);
                 prop_assert_ne!(part.part_of(cut.remote), p);
                 prop_assert_eq!(net.edge_weight(cut.local, cut.remote), Some(cut.weight));
@@ -89,8 +87,6 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(part.num_cut_edges(), directed / 2);
-
         // Conversely, every cross-region edge of the network is recorded.
         for u in net.nodes() {
             for (_, v, w) in net.neighbors(u) {
@@ -118,7 +114,7 @@ proptest! {
         }
         if part.num_parts() == 1 {
             prop_assert_eq!(part.boundary(0).len(), 0);
-            prop_assert_eq!(part.num_cut_edges(), 0);
+            prop_assert!(part.cuts(0).is_empty());
         }
     }
 

@@ -1,6 +1,6 @@
 //! Element-wise equality of sharded answers against the single-index
 //! baseline, across K ∈ {1, 2, 4, 8} (K = 1 degenerates to the existing
-//! single-index path), under every entry-decode mode at K = 4.
+//! single-index path).
 //!
 //! kNN/CNN comparisons filter query nodes whose k-th distance is tied
 //! (independent Dijkstra ground truth): at a tied cut both sides return a
@@ -11,7 +11,7 @@ use dsi_graph::generate::{random_planar, PlanarConfig};
 use dsi_graph::{sssp, Dist, NodeId, ObjectSet, RoadNetwork};
 use dsi_partition::{PartitionedIndex, ShardedSessions};
 use dsi_signature::query::join::self_epsilon_join;
-use dsi_signature::{EntryDecodeMode, KnnType, SignatureConfig, SignatureIndex};
+use dsi_signature::{KnnType, SignatureConfig, SignatureIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -72,50 +72,36 @@ fn sharded_answers_match_the_single_index_for_every_k() {
             assert_eq!(pidx.num_parts(), 1);
             assert_eq!(pidx.num_boundary(), 0, "K=1 must have no boundary");
         }
-        // Entry-granular decode is one more input at K = 4: every mode
-        // must answer like the single index.
-        let modes: &[EntryDecodeMode] = if k_parts == 4 {
-            &[
-                EntryDecodeMode::Off,
-                EntryDecodeMode::On,
-                EntryDecodeMode::Auto,
-            ]
-        } else {
-            &[EntryDecodeMode::Auto]
-        };
-        for &mode in modes {
-            let mut sharded = ShardedSessions::new(&pidx, POOL_PAGES);
-            sharded.set_entry_decode(mode);
-            for &q in &queries {
-                for &eps in &eps_list {
-                    assert_eq!(
-                        sharded.range(q, eps),
-                        base.range(q, eps),
-                        "range(q={q}, eps={eps}) diverged at K={k_parts}, {mode:?}"
-                    );
-                    assert_eq!(
-                        sharded.aggregate(q, eps),
-                        base.aggregate(q, eps),
-                        "aggregate(q={q}, eps={eps}) diverged at K={k_parts}, {mode:?}"
-                    );
-                }
-                for k in [1usize, 3, 8] {
-                    if !knn_cut_tie_free(&net, &objects, q, k) {
-                        continue;
-                    }
-                    assert_eq!(
-                        sharded.knn(q, k),
-                        base.knn(q, k, KnnType::Type1),
-                        "knn(q={q}, k={k}) diverged at K={k_parts}, {mode:?}"
-                    );
-                }
+        let mut sharded = ShardedSessions::new(&pidx, POOL_PAGES);
+        for &q in &queries {
+            for &eps in &eps_list {
+                assert_eq!(
+                    sharded.range(q, eps),
+                    base.range(q, eps),
+                    "range(q={q}, eps={eps}) diverged at K={k_parts}"
+                );
+                assert_eq!(
+                    sharded.aggregate(q, eps),
+                    base.aggregate(q, eps),
+                    "aggregate(q={q}, eps={eps}) diverged at K={k_parts}"
+                );
             }
-            let ops = sharded.op_stats();
-            assert!(
-                ops.label_lookups > 0 || k_parts == 1,
-                "K={k_parts} never glued through the boundary labels"
-            );
+            for k in [1usize, 3, 8] {
+                if !knn_cut_tie_free(&net, &objects, q, k) {
+                    continue;
+                }
+                assert_eq!(
+                    sharded.knn(q, k),
+                    base.knn(q, k, KnnType::Type1),
+                    "knn(q={q}, k={k}) diverged at K={k_parts}"
+                );
+            }
         }
+        let ops = sharded.op_stats();
+        assert!(
+            ops.label_lookups > 0 || k_parts == 1,
+            "K={k_parts} never glued through the boundary labels"
+        );
     }
 }
 

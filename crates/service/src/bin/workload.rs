@@ -26,7 +26,7 @@ use dsi_graph::ObjectSet;
 use dsi_service::{
     generate, generate_updates, Backend, QueryService, ServiceConfig, Skew, WorkloadConfig,
 };
-use dsi_signature::{EntryDecodeMode, SignatureConfig};
+use dsi_signature::SignatureConfig;
 use dsi_storage::{FaultPlan, StoreMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,10 +46,9 @@ struct Args {
     fault_rate: f64,
     corrupt_rate: f64,
     fault_seed: u64,
-    entry_decode: EntryDecodeMode,
     backend: Backend,
     partitions: usize,
-    /// Whether `--backend` / `DSI_BACKEND` explicitly picked the backend
+    /// Whether `--backend` explicitly picked the backend
     /// (a `--partitions` > 1 auto-selects the sharded router otherwise).
     backend_explicit: bool,
     store: StoreMode,
@@ -76,7 +75,6 @@ impl Default for Args {
             fault_rate: 0.0,
             corrupt_rate: 0.0,
             fault_seed: 0xFA01,
-            entry_decode: EntryDecodeMode::default(),
             backend: Backend::Signature,
             partitions: 1,
             backend_explicit: false,
@@ -91,26 +89,6 @@ impl Default for Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
-    // `DSI_BACKEND` pre-selects the backend; an explicit `--backend` flag
-    // still wins.
-    if let Ok(v) = std::env::var("DSI_BACKEND") {
-        args.backend = v.parse().map_err(|e| format!("DSI_BACKEND: {e}"))?;
-        args.backend_explicit = true;
-    }
-    // Likewise `DSI_PARTITIONS` pre-selects the partition count; an
-    // explicit `--partitions` flag still wins.
-    if let Ok(v) = std::env::var("DSI_PARTITIONS") {
-        args.partitions = parse(&v).map_err(|e| format!("DSI_PARTITIONS: {e}"))?;
-    }
-    // `DSI_UPDATE_RATE` pre-selects the mixed read/update rate; an explicit
-    // `--update-rate` flag still wins.
-    if let Ok(v) = std::env::var("DSI_UPDATE_RATE") {
-        args.update_rate = parse(&v).map_err(|e| format!("DSI_UPDATE_RATE: {e}"))?;
-    }
-    // `DSI_STORE` pre-selects the page-store backend; `--store` still wins.
-    if let Ok(v) = std::env::var("DSI_STORE") {
-        args.store = v.parse().map_err(|e| format!("DSI_STORE: {e}"))?;
-    }
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
@@ -127,7 +105,6 @@ fn parse_args() -> Result<Args, String> {
             "--fault-rate" => args.fault_rate = parse(&value("--fault-rate")?)?,
             "--corrupt-rate" => args.corrupt_rate = parse(&value("--corrupt-rate")?)?,
             "--fault-seed" => args.fault_seed = parse(&value("--fault-seed")?)?,
-            "--entry-decode" => args.entry_decode = parse(&value("--entry-decode")?)?,
             "--backend" => {
                 args.backend = value("--backend")?.parse()?;
                 args.backend_explicit = true;
@@ -162,8 +139,8 @@ fn parse_args() -> Result<Args, String> {
                      \x20               [--shards N] [--pool-pages N] [--skew uniform|zipf:THETA]\n\
                      \x20               [--seed N] [--sweep] [--updates N] [--update-rate F]\n\
                      \x20               [--fault-rate F] [--corrupt-rate F] [--fault-seed N]\n\
-                     \x20               [--entry-decode on|off|auto] [--backend B]\n\
-                     \x20               [--partitions K] [--store mem|file|mmap] [--batch on|off]\n\
+                     \x20               [--backend B] [--partitions K]\n\
+                     \x20               [--store mem|file|mmap] [--batch on|off]\n\
                      \x20               [--readahead N] [--deadline-us N] [--spike-rate F]\n\
                      \x20               [--spike-us N]\n\
                      \n\
@@ -171,26 +148,20 @@ fn parse_args() -> Result<Args, String> {
                      \x20                 baseline, then with a concurrent updater thread\n\
                      \x20                 publishing round(F x 8) epoch swaps) and report how\n\
                      \x20                 much maintenance latency the double-buffered swap hid\n\
-                     \x20                 from reader p99; the DSI_UPDATE_RATE env var\n\
-                     \x20                 pre-selects it\n\
+                     \x20                 from reader p99\n\
                      --fault-rate F    inject read failures on fraction F of physical reads\n\
                      --corrupt-rate F  inject page corruption on fraction F of physical reads\n\
                      --fault-seed N    seed for the deterministic fault stream\n\
-                     --entry-decode M  entry-granular decode: on, off (full decode), or\n\
-                     \x20                 auto (default; per-request crossover heuristic)\n\
                      --backend B       query engine: signature (default), ine (Dijkstra\n\
-                     \x20                 expansion), ch (contraction hierarchy), hl (hub\n\
-                     \x20                 labels: bucket scans for kNN/join, merges otherwise), or\n\
-                     \x20                 sharded (partition router); the DSI_BACKEND env\n\
-                     \x20                 var pre-selects it\n\
+                     \x20                 expansion), hl (hub labels: bucket scans for\n\
+                     \x20                 kNN/join, merges otherwise), or sharded (partition\n\
+                     \x20                 router)\n\
                      --partitions K    split the network into K regions with one signature\n\
                      \x20                 index each (default 1 = single index); K > 1\n\
                      \x20                 auto-selects the sharded backend unless --backend\n\
-                     \x20                 says otherwise; the DSI_PARTITIONS env var\n\
-                     \x20                 pre-selects it\n\
+                     \x20                 says otherwise\n\
                      --store M         physical page store: mem (default, accounting-only),\n\
-                     \x20                 file (pread from a checksummed page file), or mmap;\n\
-                     \x20                 the DSI_STORE env var pre-selects it\n\
+                     \x20                 file (pread from a checksummed page file), or mmap\n\
                      --batch on|off    batched prefetch: on = readahead window of 8 pages +\n\
                      \x20                 frontier prefetch, off (default) = single-page reads\n\
                      --readahead N     explicit readahead window in pages (overrides --batch)\n\
@@ -205,7 +176,6 @@ fn parse_args() -> Result<Args, String> {
             other => match other.split_once('=') {
                 // Long flags also accept the `--flag=value` spelling; feed
                 // the split pieces back through the same machinery.
-                Some(("--entry-decode", v)) => args.entry_decode = parse(v)?,
                 Some(("--backend", v)) => {
                     args.backend = v.parse()?;
                     args.backend_explicit = true;
@@ -293,7 +263,6 @@ fn main() -> ExitCode {
             shards: args.shards,
             pool_pages: args.pool_pages,
             fault_plan,
-            entry_decode: args.entry_decode,
             partitions: args.partitions,
             store: args.store,
             readahead: args.readahead,
@@ -301,7 +270,6 @@ fn main() -> ExitCode {
             ..Default::default()
         },
     );
-    println!("entry decode: {:?}", args.entry_decode);
     println!("backend: {}", args.backend.label());
     println!(
         "store: {} (readahead {})",

@@ -72,20 +72,19 @@
 //! # Backends
 //!
 //! The default backend executes on the signature index; [`Backend::Sharded`]
-//! routes the same queries across K partitioned signature indexes. The three
+//! routes the same queries across K partitioned signature indexes. The two
 //! in-memory backends answer them on exact distance oracles the epoch always
 //! holds, through one operator set (`exec.rs`): [`Backend::Dijkstra`] by
 //! incremental network expansion (the paper's INE baseline) in a
-//! per-worker [`dsi_graph::SsspWorkspace`], [`Backend::Hierarchy`] by
-//! bidirectional upward searches over the epoch's contraction hierarchy,
-//! and [`Backend::HubLabel`] with no
-//! graph search at all — hub labels extracted from that hierarchy plus the
-//! object hosts' labels inverted once per epoch into distance-sorted buckets
-//! ([`LabelBuckets`]), so kNN is one bounded scan ([`HubLabels::knn`]) and
-//! every self-join row one ε-bounded scan ([`HubLabels::scan_within`]);
-//! range and aggregate still merge the query node's label against every
-//! object's. All five return element-wise identical results, the two paged
-//! backends up to the choice among objects tied at the kNN cut.
+//! per-worker [`dsi_graph::SsspWorkspace`], and [`Backend::HubLabel`] with
+//! no graph search at all — hub labels extracted from the epoch's
+//! contraction hierarchy plus the object hosts' labels inverted once per
+//! epoch into distance-sorted buckets ([`LabelBuckets`]), so kNN is one
+//! bounded scan ([`HubLabels::knn`]) and every self-join row one ε-bounded
+//! scan ([`HubLabels::scan_within`]); range and aggregate still merge the
+//! query node's label against every object's. All four return element-wise
+//! identical results, the two paged backends up to the choice among objects
+//! tied at the kNN cut.
 //!
 //! # Graceful degradation
 //!
@@ -118,16 +117,15 @@ use dsi_signature::query::aggregate::RangeAggregate;
 use dsi_signature::query::join::try_self_epsilon_join;
 use dsi_signature::update::{update_from_labels, UpdateReport};
 use dsi_signature::{
-    EntryDecodeMode, KnnResult, KnnType, OpResult, OpStats, Session, SessionState, SignatureConfig,
-    SignatureIndex,
+    KnnResult, KnnType, OpResult, OpStats, Session, SessionState, SignatureConfig, SignatureIndex,
 };
 use dsi_storage::{FaultPlan, IoStats, PageFile, StoreMode, Striped, PAGE_SIZE};
 
 use crate::exec::{self, ObjectDistances, Scratch};
 
 use crate::journal::{
-    read_checkpoint, write_checkpoint, EdgeUpdate, JournalRecord, UpdateJournal, BASE_NET_FILE,
-    BASE_OBJ_FILE, CHECKPOINT_FILE, JOURNAL_FILE,
+    read_checkpoint, write_atomically, write_checkpoint, EdgeUpdate, JournalRecord, UpdateJournal,
+    BASE_NET_FILE, BASE_OBJ_FILE, CHECKPOINT_FILE, JOURNAL_FILE,
 };
 use crate::stats::{per_class_stats, BatchReport, PartStats};
 use crate::workload::{Query, QueryClass};
@@ -149,10 +147,6 @@ pub enum Backend {
     /// Incremental network expansion from the query node (INE baseline);
     /// per-worker workspace, no paging model.
     Dijkstra,
-    /// Contraction-hierarchy distance oracle: every distance is a
-    /// bidirectional upward search over the epoch's prebuilt hierarchy;
-    /// per-worker workspace, memory-resident (no paging model).
-    Hierarchy,
     /// Hub-label distance oracle, no graph search: kNN and the self
     /// ε-join are bounded scans of the epoch's distance-sorted object
     /// buckets (one from the query node's label, one per source object);
@@ -175,7 +169,6 @@ impl Backend {
         match self {
             Backend::Signature => "signature",
             Backend::Dijkstra => "ine",
-            Backend::Hierarchy => "ch",
             Backend::HubLabel => "hl",
             Backend::Sharded => "sharded",
         }
@@ -189,11 +182,10 @@ impl std::str::FromStr for Backend {
         match s {
             "signature" | "sig" => Ok(Backend::Signature),
             "ine" | "dijkstra" => Ok(Backend::Dijkstra),
-            "ch" | "hierarchy" => Ok(Backend::Hierarchy),
             "hl" | "hub-label" | "labels" => Ok(Backend::HubLabel),
             "sharded" | "partitioned" => Ok(Backend::Sharded),
             _ => Err(format!(
-                "unknown backend {s:?} (valid: signature | ine | ch | hl | sharded)"
+                "unknown backend {s:?} (valid: signature | ine | hl | sharded)"
             )),
         }
     }
@@ -217,11 +209,6 @@ pub struct ServiceConfig {
     /// before the service gives up on the fast path and answers on the
     /// epoch's exact label oracle.
     pub retry_budget: u32,
-    /// Whether shard sessions serve point lookups through entry-granular
-    /// decode ([`EntryDecodeMode::Auto`] by default). `Off` forces the
-    /// pre-skip-directory full-decode path — the A/B lever for the workload
-    /// driver's `--entry-decode` switch.
-    pub entry_decode: EntryDecodeMode,
     /// Horizontal partitions. With `partitions > 1` every epoch
     /// additionally holds a [`dsi_partition::PartitionedIndex`] — K
     /// per-region signature indexes constructed in parallel — and
@@ -259,7 +246,6 @@ impl Default for ServiceConfig {
             pool_pages: 64,
             fault_plan: FaultPlan::none(),
             retry_budget: 2,
-            entry_decode: EntryDecodeMode::default(),
             partitions: 1,
             store: StoreMode::Mem,
             readahead: 0,
@@ -637,7 +623,6 @@ pub struct QueryService {
     pool_pages: usize,
     fault_plan: FaultPlan,
     retry_budget: u32,
-    entry_decode: EntryDecodeMode,
     partitions: usize,
     store: StoreMode,
     readahead: u32,
@@ -703,10 +688,10 @@ fn inapplicable(net: &RoadNetwork, updates: &[EdgeUpdate]) -> Option<String> {
 impl QueryService {
     /// Build the index over `net`/`objects` and wrap it in a service. The
     /// contraction hierarchy is built first and handed to the signature
-    /// construction, which uses it for its distance evaluations
-    /// ([`dsi_signature::BuildDistanceMode::Auto`] always picks a prebuilt
-    /// hierarchy) — one preprocessing pass amortized across index build,
-    /// query backends, and the fault ladder's in-memory rung.
+    /// construction, which uses it for its distance evaluations (a build
+    /// always uses a prebuilt hierarchy) — one preprocessing pass amortized
+    /// across index build, the label oracle, and the fault ladder's
+    /// in-memory rung.
     ///
     /// # Panics
     /// If an edge weight of `net` lies outside the weight domain
@@ -798,7 +783,6 @@ impl QueryService {
             pool_pages: cfg.pool_pages,
             fault_plan: cfg.fault_plan,
             retry_budget: cfg.retry_budget,
-            entry_decode: cfg.entry_decode,
             partitions: cfg.partitions,
             store: cfg.store,
             readahead: cfg.readahead,
@@ -929,14 +913,6 @@ impl QueryService {
                                 };
                                 (exec::execute(&mut ine, objects, q), false)
                             }
-                            Backend::Hierarchy => {
-                                let mut ch = exec::Hierarchy {
-                                    ch: &ep.oracle.ch,
-                                    objects,
-                                    ws: &mut sc.ch,
-                                };
-                                (exec::execute(&mut ch, objects, q), false)
-                            }
                             Backend::HubLabel => (self.execute_labels(ep, q, &mut sc), false),
                         };
                         if self.live_epoch.load(Ordering::Relaxed) > ep.epoch {
@@ -1052,7 +1028,6 @@ impl QueryService {
         } else {
             SessionState::new(self.pool_pages)
         };
-        state.set_entry_decode(self.entry_decode);
         state.set_readahead(self.readahead);
         if let Some(file) = file {
             state.attach_file(Arc::clone(file));
@@ -1526,10 +1501,14 @@ impl QueryService {
         let mut m = self.maint.lock().expect("maint lock");
         let mut net_bytes = Vec::new();
         write_network(&self.snapshot().net, &mut net_bytes)?;
-        atomic_write(&dir.join(BASE_NET_FILE), &net_bytes)?;
+        write_atomically(&dir.join(BASE_NET_FILE), |f| {
+            io::Write::write_all(f, &net_bytes)
+        })?;
         let mut obj_bytes = Vec::new();
         write_objects(&self.objects, &mut obj_bytes)?;
-        atomic_write(&dir.join(BASE_OBJ_FILE), &obj_bytes)?;
+        write_atomically(&dir.join(BASE_OBJ_FILE), |f| {
+            io::Write::write_all(f, &obj_bytes)
+        })?;
         let (mut wal, existing) = UpdateJournal::open(dir.join(JOURNAL_FILE))?;
         if !existing.is_empty() {
             return Err(io::Error::new(
@@ -1702,11 +1681,6 @@ impl QueryService {
     /// Shards quarantined (cold-restarted) since the service was built.
     pub fn quarantine_count(&self) -> u64 {
         self.quarantines.load(Ordering::Relaxed)
-    }
-
-    /// The physical page-store backend this service runs.
-    pub fn store_mode(&self) -> StoreMode {
-        self.store
     }
 
     /// Queries shed by admission control since the service was built.
@@ -1897,18 +1871,6 @@ pub struct RecoveryReport {
     /// Whether the tail holds a `publish-intent` without its `done` — a
     /// publish the crash tore. The recovered state is whole either way.
     pub torn_publish: bool,
-}
-
-/// Write `bytes` to `path` atomically: temp file in the same directory,
-/// sync, rename over the target.
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// Dispatch one query to the signature-index query processors, surfacing

@@ -4,17 +4,16 @@
 //! compare exact network distances to objects. [`ObjectDistances`] is the
 //! interface that idea needs — the objects within ε of a node, the k
 //! nearest, and one object's share of a self-join — and [`execute`] writes
-//! each query class once over it. The three in-memory oracles — network
-//! expansion ([`Dijkstra`]), the contraction hierarchy ([`Hierarchy`]) and
-//! the hub labels ([`Labels`]) — implement it with their own algorithms and
-//! answer element-wise identically: ranges in id order, kNN keeps the `k`
+//! each query class once over it. The two in-memory oracles — network
+//! expansion ([`Dijkstra`]) and the hub labels ([`Labels`]) — implement it
+//! with their own algorithms and answer element-wise identically: ranges in id order, kNN keeps the `k`
 //! smallest `(distance, object)` pairs, joins list `a < b` pairs in order,
 //! and unreachable objects never qualify.
 
 use dsi_graph::{
     DijkstraExpansion, Dist, NodeId, ObjectId, ObjectSet, RoadNetwork, SsspWorkspace, INFINITY,
 };
-use dsi_hierarchy::{ChWorkspace, ContractionHierarchy, HubLabels, LabelBuckets};
+use dsi_hierarchy::{HubLabels, LabelBuckets};
 use dsi_signature::KnnResult;
 
 use crate::engine::QueryOutput;
@@ -86,7 +85,6 @@ pub(crate) fn execute(
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) sssp: SsspWorkspace,
-    pub(crate) ch: ChWorkspace,
     /// Dense per-object fold buffer and hit list of the label scans.
     dense: Vec<Dist>,
     hits: Vec<(Dist, u32)>,
@@ -167,37 +165,6 @@ impl ObjectDistances for Dijkstra<'_> {
     }
 }
 
-/// The contraction-hierarchy oracle: every distance is one bidirectional
-/// upward search.
-pub(crate) struct Hierarchy<'a> {
-    pub(crate) ch: &'a ContractionHierarchy,
-    pub(crate) objects: &'a ObjectSet,
-    pub(crate) ws: &'a mut ChWorkspace,
-}
-
-impl ObjectDistances for Hierarchy<'_> {
-    fn within(&mut self, node: NodeId, eps: Dist) -> Vec<(ObjectId, Dist)> {
-        self.objects
-            .iter()
-            .filter_map(|(o, host)| {
-                let d = self.ch.p2p(node, host, self.ws);
-                (d != INFINITY && d <= eps).then_some((o, d))
-            })
-            .collect()
-    }
-
-    /// One search per partner `b > a` — the `a < b` half of the pairs.
-    fn join_row(&mut self, a: ObjectId, eps: Dist, pairs: &mut Vec<(ObjectId, ObjectId)>) {
-        let host = self.objects.node_of(a);
-        for (b, hb) in self.objects.iter().skip(a.index() + 1) {
-            let d = self.ch.p2p(host, hb, self.ws);
-            if d != INFINITY && d <= eps {
-                pairs.push((a, b));
-            }
-        }
-    }
-}
-
 /// The hub-label oracle over the object buckets: kNN and join rows are
 /// bounded bucket scans ([`HubLabels::knn`], [`HubLabels::scan_within`]);
 /// range and aggregate still merge the query node's label against every
@@ -254,7 +221,7 @@ impl ObjectDistances for Labels<'_> {
 mod tests {
     use super::*;
     use dsi_graph::{sssp, NetworkBuilder, Point};
-    use dsi_hierarchy::ChConfig;
+    use dsi_hierarchy::{ChConfig, ContractionHierarchy};
 
     /// Two components: a 6×5 grid with weights cycling 1..=3 (ties at every
     /// radius) and a separate 8-node cycle, with objects in both.
@@ -377,12 +344,6 @@ mod tests {
                 ws: &mut sc.sssp,
             };
             assert_eq!(execute(&mut ine, &objects, q), want, "dijkstra, {q:?}");
-            let mut chq = Hierarchy {
-                ch: &ch,
-                objects: &objects,
-                ws: &mut sc.ch,
-            };
-            assert_eq!(execute(&mut chq, &objects, q), want, "hierarchy, {q:?}");
             let hlq = execute(&mut sc.labels(&hl, &buckets, &objects), &objects, q);
             assert_eq!(hlq, want, "labels, {q:?}");
         }
@@ -401,12 +362,12 @@ mod tests {
             unreachable!("a range query answers a range")
         };
         assert!(!from_grid.is_empty() && !from_grid.iter().any(|&o| in_ring(o)));
-        let mut chq = Hierarchy {
-            ch: &ch,
+        let mut ine = Dijkstra {
+            net: &net,
             objects: &objects,
-            ws: &mut sc.ch,
+            ws: &mut sc.sssp,
         };
-        let QueryOutput::Join(pairs) = execute(&mut chq, &objects, &Query::Join { eps: INFINITY })
+        let QueryOutput::Join(pairs) = execute(&mut ine, &objects, &Query::Join { eps: INFINITY })
         else {
             unreachable!("a join answers pairs")
         };

@@ -38,11 +38,11 @@
 //! recovery can skip replaying history the snapshot already contains. The
 //! file is a plaintext `DSIC` preamble followed by a CRC-framed stream
 //! ([`dsi_storage::FrameWriter`]) of length-prefixed blobs. It is written
-//! to a temporary file, synced, then renamed into place: a crash mid-write
-//! leaves either the old checkpoint or none, never a half-written one that
-//! parses. A checkpoint that fails to parse (torn, flipped, or claiming
-//! more history than the journal holds) is simply ignored — the journal is
-//! the source of truth for history length.
+//! to a temporary file, synced, renamed into place, and the directory is
+//! synced: a crash mid-write leaves either the old checkpoint or none, never
+//! a half-written one that parses. A checkpoint that fails to parse (torn,
+//! flipped, or claiming more history than the journal holds) is simply
+//! ignored — the journal is the source of truth for history length.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -155,18 +155,6 @@ pub fn decode_records(bytes: &[u8]) -> Vec<JournalRecord> {
     out
 }
 
-/// The edge updates in a journal image's longest valid prefix, in order.
-/// Control records are skipped — they carry no state.
-pub fn decode_journal(bytes: &[u8]) -> Vec<EdgeUpdate> {
-    decode_records(bytes)
-        .into_iter()
-        .filter_map(|r| match r {
-            JournalRecord::Update(u) => Some(u),
-            _ => None,
-        })
-        .collect()
-}
-
 /// The append handle over a journal file. Opening repairs a torn tail
 /// (truncates past the last valid record) and returns the surviving
 /// records; appends are synced before they are acknowledged.
@@ -181,6 +169,7 @@ impl UpdateJournal {
     /// prefix — a torn append, flipped bits — are truncated away so the
     /// file is clean for further appends.
     pub fn open(path: impl AsRef<Path>) -> io::Result<(Self, Vec<JournalRecord>)> {
+        let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -194,7 +183,8 @@ impl UpdateJournal {
             .get(..JOURNAL_HEADER.len())
             .is_some_and(|h| h == JOURNAL_HEADER.as_slice() || h == JOURNAL_HEADER_V1.as_slice());
         if !header_ok {
-            // Empty, torn-header, or foreign file: restart it.
+            // New, empty, torn-header, or foreign file: restart it. A new
+            // file's directory entry is made durable below.
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(&JOURNAL_HEADER)?;
@@ -206,6 +196,9 @@ impl UpdateJournal {
             file.seek(SeekFrom::Start(valid))?;
         }
         file.sync_all()?;
+        if !header_ok {
+            sync_parent_dir(path)?;
+        }
         Ok((
             UpdateJournal {
                 file,
@@ -268,7 +261,39 @@ pub struct Checkpoint {
     pub index: SignatureIndex,
 }
 
-/// Write a checkpoint atomically: serialize to `<path>.tmp`, sync, rename.
+/// Replace `path` atomically: `write` fills `<path>.tmp`, which is synced
+/// and renamed over `path`, and then the directory is synced so that the
+/// rename itself survives a power loss. A crash at any point leaves either
+/// the old file or the new one under `path`; a failed write removes the
+/// temp file.
+pub(crate) fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    let filled = File::create(&tmp).and_then(|mut f| {
+        write(&mut f)?;
+        f.sync_all()
+    });
+    if let Err(e) = filled {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path)
+}
+
+/// Sync the directory holding `path`, which makes a file created or
+/// renamed there durable.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Write a checkpoint atomically (see [`write_atomically`]).
 pub fn write_checkpoint(
     path: impl AsRef<Path>,
     journal_len: u64,
@@ -276,15 +301,12 @@ pub fn write_checkpoint(
     objects: &ObjectSet,
     index: &SignatureIndex,
 ) -> io::Result<()> {
-    let path = path.as_ref();
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
+    write_atomically(path.as_ref(), |f| {
         f.write_all(CHECKPOINT_MAGIC)?;
         f.write_all(&CHECKPOINT_VERSION.to_le_bytes())?;
         let mut w = FrameWriter::new(f);
         put_u64(&mut w, journal_len)?;
-        let blob = |w: &mut FrameWriter<File>, bytes: &[u8]| -> io::Result<()> {
+        let blob = |w: &mut FrameWriter<&mut File>, bytes: &[u8]| -> io::Result<()> {
             put_u64(w, bytes.len() as u64)?;
             w.write_all(bytes)
         };
@@ -297,10 +319,9 @@ pub fn write_checkpoint(
         let mut idx_bytes = Vec::new();
         write_index(index, &mut idx_bytes)?;
         blob(&mut w, &idx_bytes)?;
-        let f = w.finish()?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+        w.finish()?;
+        Ok(())
+    })
 }
 
 /// Parse a checkpoint file. Any damage — truncation, bit flips, a foreign
@@ -388,7 +409,6 @@ mod tests {
     fn journal_round_trip() {
         let records = sample_records(9);
         assert_eq!(decode_records(&journal_image(&records)), records);
-        assert_eq!(decode_journal(&journal_image(&records)), sample_updates(9));
         assert!(decode_records(&[]).is_empty());
         assert!(decode_records(b"garbage!").is_empty());
     }
@@ -400,7 +420,8 @@ mod tests {
         for (seq, &u) in updates.iter().enumerate() {
             bytes.extend_from_slice(&encode_record(seq as u64, JournalRecord::Update(u)));
         }
-        assert_eq!(decode_journal(&bytes), updates);
+        let want: Vec<_> = updates.iter().map(|&u| JournalRecord::Update(u)).collect();
+        assert_eq!(decode_records(&bytes), want);
     }
 
     #[test]
@@ -490,5 +511,33 @@ mod tests {
                 .collect::<Vec<_>>()[..]
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn write_atomically_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("dsi_atomic_write_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.bin");
+        std::fs::write(&path, b"old contents, longer than the new").unwrap();
+
+        let names = || -> Vec<_> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect()
+        };
+        write_atomically(&path, |f| f.write_all(b"new")).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        assert_eq!(names(), ["state.bin"], "a temp file was left behind");
+
+        // A failed write leaves the old file in place, and no temp file.
+        let err = write_atomically(&path, |f| {
+            f.write_all(b"partial")?;
+            Err(io::Error::other("disk full"))
+        });
+        assert!(err.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        assert_eq!(names(), ["state.bin"], "a failed write left its temp file");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -186,11 +186,6 @@ fn dijkstra_backend_observes_serialized_states() {
 }
 
 #[test]
-fn hierarchy_backend_observes_serialized_states() {
-    oracle_run(Backend::Hierarchy, 1);
-}
-
-#[test]
 fn hub_label_backend_observes_serialized_states() {
     oracle_run(Backend::HubLabel, 1);
 }
@@ -298,12 +293,6 @@ fn racing_writers_ship_labels_that_match_their_hierarchy() {
     );
     assert_eq!(
         service.serve_batch_on(Backend::HubLabel, &batch, 2).outputs,
-        service.serve_batch_on(Backend::Dijkstra, &batch, 2).outputs
-    );
-    assert_eq!(
-        service
-            .serve_batch_on(Backend::Hierarchy, &batch, 2)
-            .outputs,
         service.serve_batch_on(Backend::Dijkstra, &batch, 2).outputs
     );
 }

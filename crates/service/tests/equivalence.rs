@@ -147,26 +147,22 @@ fn signature_and_dijkstra_backends_agree() {
 }
 
 #[test]
-fn all_four_backends_agree_element_wise() {
+fn signature_ine_and_label_backends_agree_element_wise() {
     let service = build_service(19);
     let batch = mixed_batch(&service, 150, 5);
 
     let sig = service.serve_batch_on(Backend::Signature, &batch, 2);
     let ine = service.serve_batch_on(Backend::Dijkstra, &batch, 2);
-    let ch = service.serve_batch_on(Backend::Hierarchy, &batch, 2);
     let hl = service.serve_batch_on(Backend::HubLabel, &batch, 2);
     assert_eq!(
-        (sig.backend, ine.backend, ch.backend, hl.backend),
-        ("signature", "ine", "ch", "hl")
+        (sig.backend, ine.backend, hl.backend),
+        ("signature", "ine", "hl")
     );
 
-    // INE, the hierarchy oracle, and the hub labels all emit canonical
-    // orderings (id-sorted ranges, `(dist, object)`-sorted kNN, sorted join
-    // pairs): strictly equal outputs, including at kNN distance ties.
-    assert_eq!(ch.outputs.len(), ine.outputs.len());
-    for (i, (a, b)) in ch.outputs.iter().zip(&ine.outputs).enumerate() {
-        assert_eq!(a, b, "query {i} ({:?}): ch vs ine", batch[i]);
-    }
+    // INE and the hub labels both emit canonical orderings (id-sorted
+    // ranges, `(dist, object)`-sorted kNN, sorted join pairs): strictly
+    // equal outputs, including at kNN distance ties.
+    assert_eq!(hl.outputs.len(), ine.outputs.len());
     for (i, (a, b)) in hl.outputs.iter().zip(&ine.outputs).enumerate() {
         assert_eq!(a, b, "query {i} ({:?}): hl vs ine", batch[i]);
     }
@@ -190,7 +186,6 @@ fn all_four_backends_agree_element_wise() {
     // The signature path may legitimately keep a different tied kNN object:
     // tie-aware comparison against both.
     assert_backends_agree(&sig.outputs, &ine.outputs, "signature vs ine");
-    assert_backends_agree(&sig.outputs, &ch.outputs, "signature vs ch");
     assert_backends_agree(&sig.outputs, &hl.outputs, "signature vs hl");
 }
 
@@ -233,12 +228,12 @@ fn knn_queries_walk_a_fraction_of_the_object_labels() {
 }
 
 #[test]
-fn hierarchy_backend_serial_matches_parallel() {
+fn label_backend_serial_matches_parallel() {
     let service = build_service(13);
     let batch = mixed_batch(&service, 200, 21);
 
-    let r1 = service.serve_batch_on(Backend::Hierarchy, &batch, 1);
-    let r4 = service.serve_batch_on(Backend::Hierarchy, &batch, 4);
+    let r1 = service.serve_batch_on(Backend::HubLabel, &batch, 1);
+    let r4 = service.serve_batch_on(Backend::HubLabel, &batch, 4);
     assert_eq!(r1.outputs.len(), batch.len());
     for (i, (a, b)) in r1.outputs.iter().zip(&r4.outputs).enumerate() {
         assert_eq!(a, b, "query {i} ({:?}) diverged under 4 workers", batch[i]);
@@ -291,16 +286,9 @@ fn epoch_update_between_batches_is_visible() {
     let truth = service.serve_batch_on(Backend::Dijkstra, &batch, 4);
     assert_backends_agree(&after.outputs, &truth.outputs, "post-update");
 
-    // The hierarchy was rebuilt by the same maintenance call; the oracle
-    // must serve the updated network, not the contraction of the old one.
-    let ch_truth = service.serve_batch_on(Backend::Hierarchy, &batch, 4);
-    assert_eq!(
-        ch_truth.outputs, truth.outputs,
-        "hierarchy oracle diverged from INE post-update"
-    );
-
-    // The hub labels were re-extracted from that rebuilt hierarchy; stale
-    // labels would resurrect pre-update distances.
+    // The hierarchy was repaired by the same maintenance call and the hub
+    // labels re-extracted from it; stale labels would resurrect pre-update
+    // distances.
     let hl_truth = service.serve_batch_on(Backend::HubLabel, &batch, 4);
     assert_eq!(
         hl_truth.outputs, truth.outputs,

@@ -5,10 +5,7 @@
 //! *answers* never change, only the counters do.
 //!
 //! The fault seed honours `DSI_FAULT_SEED` so CI can re-run the suite
-//! under a matrix of fixed seeds; the session decode path honours
-//! `DSI_ENTRY_DECODE` (`on`/`off`/`auto`) so the same matrix covers both
-//! the entry-granular and the full-decode read paths;
-//! `DSI_MAINT=double-buffer` scales up the concurrent-maintenance-under-
+//! under a matrix of fixed seeds; `DSI_MAINT=double-buffer` scales up the concurrent-maintenance-under-
 //! faults cell; and `DSI_BACKEND=hl` replays every served batch on the
 //! memory-resident hub-label backend and asserts it agrees with the paged
 //! answers (see `scripts/ci.sh`).
@@ -18,7 +15,7 @@ use dsi_graph::{sssp, ObjectSet};
 use dsi_service::{
     generate, Backend, Query, QueryOutput, QueryService, ServiceConfig, Skew, WorkloadConfig,
 };
-use dsi_signature::{EntryDecodeMode, KnnResult, SignatureConfig};
+use dsi_signature::{KnnResult, SignatureConfig};
 use dsi_storage::{FaultPlan, StoreMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,13 +25,6 @@ fn fault_seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0xFA01)
-}
-
-fn entry_mode() -> EntryDecodeMode {
-    std::env::var("DSI_ENTRY_DECODE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_default()
 }
 
 fn partitions() -> usize {
@@ -136,10 +126,6 @@ fn serve(service: &QueryService, batch: &[Query], workers: usize) -> dsi_service
 /// therefore fault) stream busy. `retry_budget: 1` makes degradation
 /// reachable without a pathological fault rate.
 fn build(plan: FaultPlan) -> QueryService {
-    build_with(plan, entry_mode())
-}
-
-fn build_with(plan: FaultPlan, entry_decode: EntryDecodeMode) -> QueryService {
     let mut rng = StdRng::seed_from_u64(7);
     let net = random_planar(
         &PlanarConfig {
@@ -163,7 +149,6 @@ fn build_with(plan: FaultPlan, entry_decode: EntryDecodeMode) -> QueryService {
             pool_pages: 2,
             fault_plan: plan,
             retry_budget: 1,
-            entry_decode,
             partitions: partitions(),
             store: store_mode(),
             readahead: readahead(),
@@ -223,7 +208,7 @@ fn faulty_run_matches_fault_free_element_wise() {
 
     // Whether a marginal fault rate pushes some query past its retry budget
     // depends on the exact page-access sequence, which shifts with the
-    // matrix axes (fault seed × decode path × partitions × store). Escalate
+    // matrix axes (fault seed × partitions × store). Escalate
     // until the ladder's top rung actually fires so every cell checks the
     // same end-to-end property, not a rate tuned for one configuration.
     let mut rate = 0.01;
@@ -339,7 +324,7 @@ fn faults_in_one_partition_quarantine_only_that_shard() {
         let net = random_planar(
             &PlanarConfig {
                 // ~300 nodes per region, matching the single-index fixture
-                // (see `build_with` on why regions must outgrow the pool).
+                // (see `build` on why regions must outgrow the pool).
                 num_nodes: 1200,
                 ..Default::default()
             },
@@ -355,7 +340,6 @@ fn faults_in_one_partition_quarantine_only_that_shard() {
                 pool_pages: 2,
                 fault_plan: plan,
                 retry_budget: 1,
-                entry_decode: entry_mode(),
                 partitions: 4,
                 store: store_mode(),
                 readahead: readahead(),
@@ -416,36 +400,16 @@ fn faults_in_one_partition_quarantine_only_that_shard() {
 }
 
 #[test]
-fn entry_decode_on_and_off_answer_identically() {
-    // The A/B pair behind `workload --entry-decode`: the entry-granular
-    // path and the legacy full-decode path must be element-wise equal on a
-    // mixed batch, fault-free and under the same logical page accounting.
-    let on = build_with(FaultPlan::none(), EntryDecodeMode::On);
-    let off = build_with(FaultPlan::none(), EntryDecodeMode::Off);
-    let batch = mixed_batch(&on, 600);
-
-    let got_on = serve(&on, &batch, 4);
-    let got_off = serve(&off, &batch, 4);
-
-    for (i, (a, b)) in got_on.outputs.iter().zip(&got_off.outputs).enumerate() {
-        assert_eq!(
-            a, b,
-            "query {i} ({:?}) diverged across decode modes",
-            batch[i]
-        );
-    }
-    assert_eq!(
-        got_on.io.logical, got_off.io.logical,
-        "entry decode changed the logical page-access charge"
-    );
-    assert!(
-        got_on.ops.entry_reads > 0,
-        "On mode never took the entry path"
-    );
-    assert_eq!(
-        got_off.ops.entry_reads, 0,
-        "Off mode must stay on full decode"
-    );
+fn the_mixed_batch_runs_both_signature_read_paths() {
+    // The request width picks the read path: a narrow lookup decodes one
+    // skip-directory run, a request covering ≥ D / K objects the whole
+    // signature. This suite's answers are checked on both only if its
+    // batch takes both.
+    let service = build(FaultPlan::none());
+    let batch = mixed_batch(&service, 600);
+    let got = serve(&service, &batch, 4);
+    assert!(got.ops.entry_reads > 0, "no query took the entry path");
+    assert!(got.ops.signature_reads > 0, "no query took the full decode");
 }
 
 #[test]
@@ -457,7 +421,7 @@ fn concurrent_maintenance_under_faults_stays_exact() {
     // (the label oracle they fall back to is the batch's pinned epoch's, so
     // even a mid-swap degradation stays on one consistent state). The
     // `DSI_MAINT=double-buffer` CI axis re-runs this cell across the fault
-    // seed / decode / partition matrix with more reader rounds.
+    // seed / partition matrix with more reader rounds.
     let deep = std::env::var("DSI_MAINT").is_ok_and(|s| s == "double-buffer");
     let min_reads = if deep { 8 } else { 4 };
 

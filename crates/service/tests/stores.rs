@@ -62,14 +62,12 @@ fn store_modes_answer_identically_on_all_backends() {
     let mem = build(StoreMode::Mem, 0, 2);
     let file = build(StoreMode::File, 0, 2);
     let mmap = build(StoreMode::Mmap, 0, 2);
-    assert_eq!(mem.store_mode(), StoreMode::Mem);
-    assert_eq!(file.store_mode(), StoreMode::File);
     let batch = batch_for(&mem, 300);
 
     for backend in [
         Backend::Signature,
         Backend::Dijkstra,
-        Backend::Hierarchy,
+        Backend::HubLabel,
         Backend::Sharded,
     ] {
         let a = mem.serve_batch_on(backend, &batch, 2);

@@ -204,7 +204,7 @@ mod tests {
     fn table(pairs: &[(u32, u32, u32)], n: usize) -> ObjDistTable {
         let mut t = ObjDistTable::with_rows(n);
         for &(a, b, d) in pairs {
-            t.insert_pair(a, b, d);
+            t.set(ObjectId(a), ObjectId(b), Some(d));
         }
         t
     }

@@ -43,9 +43,6 @@ pub struct SignatureConfig {
     /// directory; `K = 16` keeps the overhead well under 10 % of
     /// `disk_bytes` on the paper's datasets. Clamped to ≥ 1.
     pub skip_stride: usize,
-    /// How per-object distance vectors are computed during construction
-    /// (§5.2's "one Dijkstra per object" step).
-    pub build_distance: BuildDistanceMode,
 }
 
 impl SignatureConfig {
@@ -78,39 +75,16 @@ impl SignatureConfig {
     }
 }
 
-/// Distance substrate for index construction.
-///
-/// The per-object distance vector can come from flat Dijkstra over the
-/// road network (the paper's §5.2 build) or from a PHAST sweep over a
-/// contraction hierarchy — identical distances, the latter replacing one
-/// priority-queue Dijkstra per object with one tiny upward search plus a
-/// linear rank sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BuildDistanceMode {
-    /// Decide per build (the default): use the hierarchy when the caller
-    /// supplies a prebuilt one ([`SignatureIndex::build_with_hierarchy`]),
-    /// or when the build is big enough (`|D| ≥ 64` objects on `n ≥ 1024`
-    /// nodes) that constructing a throwaway hierarchy amortizes over the
-    /// per-object sweeps; flat Dijkstra otherwise.
-    #[default]
-    Auto,
-    /// Always flat Dijkstra, one full SSSP per object.
-    Flat,
-    /// Always CH-accelerated: PHAST sweeps over a hierarchy, building a
-    /// seeded-default one on the spot if none was supplied.
-    Hierarchy,
-}
-
-impl BuildDistanceMode {
-    /// Resolve to "use the hierarchy?" for a build of `d` objects on `n`
-    /// nodes, with (`have_ch`) or without a prebuilt hierarchy on hand.
-    pub fn use_hierarchy(self, n: usize, d: usize, have_ch: bool) -> bool {
-        match self {
-            BuildDistanceMode::Flat => false,
-            BuildDistanceMode::Hierarchy => true,
-            BuildDistanceMode::Auto => have_ch || (d >= 64 && n >= 1024),
-        }
-    }
+/// Whether a build of `d` objects on `n` nodes computes its per-object
+/// distance vectors (§5.2's "one Dijkstra per object" step) by PHAST sweeps
+/// over a contraction hierarchy rather than flat Dijkstra. The distances are
+/// identical; the hierarchy replaces one priority-queue Dijkstra per object
+/// with one tiny upward search plus a linear rank sweep. It is used when the
+/// caller supplies one ([`SignatureIndex::build_with_hierarchy`]), or when
+/// the build is big enough (`|D| ≥ 64` objects on `n ≥ 1024` nodes) that
+/// constructing a throwaway hierarchy amortizes over the per-object sweeps.
+fn use_hierarchy(n: usize, d: usize, have_ch: bool) -> bool {
+    have_ch || (d >= 64 && n >= 1024)
 }
 
 impl Default for SignatureConfig {
@@ -124,7 +98,6 @@ impl Default for SignatureConfig {
             pool_pages: 64,
             parallel: true,
             skip_stride: 16,
-            build_distance: BuildDistanceMode::default(),
         }
     }
 }
@@ -166,11 +139,6 @@ impl SizeReport {
     pub fn compressed_fraction(&self) -> f64 {
         self.compressed_entries as f64 / (self.num_nodes as u64 * self.num_objects as u64) as f64
     }
-
-    /// Skip-directory size as a fraction of the stored signature bits.
-    pub fn directory_overhead(&self) -> f64 {
-        self.directory_bits as f64 / self.compressed_bits as f64
-    }
 }
 
 /// A node's signature in decoded form: resolved categories and backtracking
@@ -199,11 +167,6 @@ impl ObjDistTable {
         ObjDistTable {
             rows: vec![Vec::new(); num_objects],
         }
-    }
-
-    /// Insert (or overwrite) the symmetric pair `d(a, b) = d`.
-    pub fn insert_pair(&mut self, a: u32, b: u32, d: Dist) {
-        self.set(ObjectId(a), ObjectId(b), Some(d));
     }
 
     /// Set or remove (`None`) the symmetric pair.
@@ -290,8 +253,10 @@ struct Column {
 impl SignatureIndex {
     /// Build the index: one SSSP per object fills the per-node signatures
     /// (§5.2 — "all the distances computed are necessary"), then each
-    /// node's signature is encoded and compressed. The SSSP substrate is
-    /// picked by [`SignatureConfig::build_distance`].
+    /// node's signature is encoded and compressed. A build of ≥ 64 objects
+    /// on ≥ 1024 nodes runs the SSSPs as PHAST sweeps over a contraction
+    /// hierarchy it builds for the purpose; a smaller one runs flat
+    /// Dijkstra.
     ///
     /// # Panics
     /// If the network is disconnected (signatures require every
@@ -301,9 +266,8 @@ impl SignatureIndex {
     }
 
     /// [`build`](Self::build) with a prebuilt contraction hierarchy over
-    /// `net`: under `Auto` or `Hierarchy` distance mode the per-object
-    /// SSSPs run as PHAST sweeps on `ch` (preprocessing amortized across
-    /// builds); under `Flat` the hierarchy is ignored.
+    /// `net`: the per-object SSSPs run as PHAST sweeps on `ch`
+    /// (preprocessing amortized across builds), whatever the build's size.
     pub fn build_with_hierarchy(
         net: &RoadNetwork,
         objects: &ObjectSet,
@@ -328,23 +292,16 @@ impl SignatureIndex {
     /// boundary pseudo-object's exact distance vector off the same SSSP
     /// that filled the signatures rather than re-running it. Captured rows
     /// come back in `capture` order, each `net.num_nodes()` entries long.
-    /// `config.parallel` is ignored: the caller owns the parallelism.
+    /// `config.parallel` is ignored: the caller owns the parallelism. The
+    /// distance substrate follows [`build`](Self::build)'s size rule.
     pub fn build_serial(
         net: &RoadNetwork,
         objects: &ObjectSet,
         config: &SignatureConfig,
-        ch: Option<&ContractionHierarchy>,
         ws: &mut SignatureBuildWorkspace,
         capture: &[ObjectId],
     ) -> (Self, Vec<Vec<Dist>>) {
-        if let Some(ch) = ch {
-            assert_eq!(
-                ch.num_nodes(),
-                net.num_nodes(),
-                "hierarchy was built for a different network"
-            );
-        }
-        Self::build_inner(net, objects, config, ch, Some(&mut ws.inner), capture)
+        Self::build_inner(net, objects, config, None, Some(&mut ws.inner), capture)
     }
 
     fn build_inner(
@@ -366,7 +323,7 @@ impl SignatureIndex {
 
         // Per-object shortest-path trees → category/link columns.
         let built_ch;
-        let distance = if config.build_distance.use_hierarchy(n, d, ch.is_some()) {
+        let distance = if use_hierarchy(n, d, ch.is_some()) {
             Some(match ch {
                 Some(ch) => ch,
                 None => {
@@ -601,11 +558,6 @@ impl SignatureIndex {
     /// Bits of each backtracking link (`⌈log R⌉`).
     pub fn link_bits(&self) -> u32 {
         self.link_bits
-    }
-
-    /// Whether compression was applied at build time.
-    pub fn is_compressed(&self) -> bool {
-        self.compress
     }
 
     /// The compression scheme in force.
@@ -1248,22 +1200,12 @@ mod tests {
         let net = grid(11, 11);
         let mut rng = StdRng::seed_from_u64(31);
         let objects = ObjectSet::uniform(&net, 0.08, &mut rng);
-        let flat = SignatureIndex::build(
-            &net,
-            &objects,
-            &SignatureConfig {
-                build_distance: BuildDistanceMode::Flat,
-                ..Default::default()
-            },
-        );
-        let hier = SignatureIndex::build(
-            &net,
-            &objects,
-            &SignatureConfig {
-                build_distance: BuildDistanceMode::Hierarchy,
-                ..Default::default()
-            },
-        );
+        // 121 nodes: `build` stays flat.
+        assert!(!use_hierarchy(net.num_nodes(), objects.len(), false));
+        let cfg = SignatureConfig::default();
+        let flat = SignatureIndex::build(&net, &objects, &cfg);
+        let ch = ContractionHierarchy::build(&net, &ChConfig::default());
+        let hier = SignatureIndex::build_with_hierarchy(&net, &objects, &cfg, &ch);
         let trees: Vec<_> = objects.iter().map(|(_, h)| sssp(&net, h)).collect();
         for n in net.nodes() {
             let a = flat.decode_node(n);
@@ -1292,35 +1234,23 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_resolution_thresholds() {
-        use BuildDistanceMode::*;
-        assert!(
-            !Auto.use_hierarchy(300, 20, false),
-            "small builds stay flat"
-        );
-        assert!(
-            Auto.use_hierarchy(300, 20, true),
-            "prebuilt CH is always used"
-        );
-        assert!(
-            Auto.use_hierarchy(2000, 64, false),
-            "big builds self-amortize"
-        );
-        assert!(!Flat.use_hierarchy(2000, 64, true));
-        assert!(Hierarchy.use_hierarchy(10, 2, false));
+    fn the_hierarchy_is_used_when_supplied_or_when_it_amortizes() {
+        assert!(!use_hierarchy(300, 20, false), "small builds stay flat");
+        assert!(use_hierarchy(300, 20, true), "prebuilt CH is always used");
+        assert!(use_hierarchy(2000, 64, false), "big builds self-amortize");
+        assert!(!use_hierarchy(2000, 63, false));
+        assert!(!use_hierarchy(1023, 64, false));
     }
 
     #[test]
     fn prebuilt_hierarchy_build_agrees_with_internal_one() {
-        let net = grid(9, 9);
+        // 1,089 nodes and ≥ 64 objects: `build` makes its own hierarchy.
+        let net = grid(33, 33);
         let mut rng = StdRng::seed_from_u64(47);
-        let objects = ObjectSet::uniform(&net, 0.1, &mut rng);
-        let ch =
-            dsi_hierarchy::ContractionHierarchy::build(&net, &dsi_hierarchy::ChConfig::default());
-        let cfg = SignatureConfig {
-            build_distance: BuildDistanceMode::Hierarchy,
-            ..Default::default()
-        };
+        let objects = ObjectSet::uniform(&net, 0.07, &mut rng);
+        assert!(use_hierarchy(net.num_nodes(), objects.len(), false));
+        let ch = ContractionHierarchy::build(&net, &ChConfig::default());
+        let cfg = SignatureConfig::default();
         let supplied = SignatureIndex::build_with_hierarchy(&net, &objects, &cfg, &ch);
         let internal = SignatureIndex::build(&net, &objects, &cfg);
         for n in net.nodes() {

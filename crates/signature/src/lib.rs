@@ -40,10 +40,8 @@ pub mod update;
 
 pub use category::{CategoryPartition, DistRange};
 pub use cross::CrossNodeIndex;
-pub use index::{
-    BuildDistanceMode, SignatureBuildWorkspace, SignatureConfig, SignatureIndex, SizeReport,
-};
-pub use ops::{EntryDecodeMode, OpResult, OpStats, Session, SessionState};
+pub use index::{SignatureBuildWorkspace, SignatureConfig, SignatureIndex, SizeReport};
+pub use ops::{OpResult, OpStats, Session, SessionState};
 pub use query::cnn::{merge_segments, CnnSegment};
 pub use query::knn::{KnnResult, KnnType};
 pub use skip::{EntryAnchor, SkipDirectory};

@@ -31,34 +31,6 @@ use crate::index::{DecodedSignature, SignatureIndex};
 /// fail with a [`StorageError`]. Without a plan, the error is impossible.
 pub type OpResult<T> = Result<T, StorageError>;
 
-/// How a session serves single-entry signature lookups
-/// ([`Session::try_read_entry`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EntryDecodeMode {
-    /// Always decode through the skip directory, however wide the request.
-    On,
-    /// Always decode the whole signature (the pre-directory behavior) —
-    /// the A/B baseline.
-    Off,
-    /// Entry decode for narrow lookups; fall back to a whole-signature
-    /// decode when one request covers `≥ D / K` objects, at which point a
-    /// full pass decodes fewer entries than the per-run replays would.
-    #[default]
-    Auto,
-}
-
-impl std::str::FromStr for EntryDecodeMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "on" => Ok(EntryDecodeMode::On),
-            "off" => Ok(EntryDecodeMode::Off),
-            "auto" => Ok(EntryDecodeMode::Auto),
-            _ => Err(format!("unknown entry-decode mode {s:?} (on|off|auto)")),
-        }
-    }
-}
-
 /// Operation counters (CPU-side cost proxies).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpStats {
@@ -354,7 +326,6 @@ pub struct SessionState {
     pool: BufferPool,
     cache: DecodeCache,
     entries: EntryCache,
-    mode: EntryDecodeMode,
     stats: OpStats,
     /// Readahead window in pages (0 = batched prefetch off).
     readahead: u32,
@@ -373,16 +344,10 @@ impl SessionState {
             pool: BufferPool::new(pool_pages),
             cache: DecodeCache::new(pool_pages.max(16) * 4),
             entries: EntryCache::new(pool_pages.max(16) * 64),
-            mode: EntryDecodeMode::default(),
             stats: OpStats::default(),
             readahead: 0,
             generation: 0,
         }
-    }
-
-    /// Choose how entry lookups are served (see [`EntryDecodeMode`]).
-    pub fn set_entry_decode(&mut self, mode: EntryDecodeMode) {
-        self.mode = mode;
     }
 
     /// Enable batched prefetch with a `pages`-page readahead window (0
@@ -399,11 +364,6 @@ impl SessionState {
     /// [`BufferPool::attach_file`]).
     pub fn attach_file(&mut self, file: Arc<PageFile>) {
         self.pool.attach_file(file);
-    }
-
-    /// The entry-decode mode in force.
-    pub fn entry_decode(&self) -> EntryDecodeMode {
-        self.mode
     }
 
     /// Fresh state whose buffer pool injects faults per `plan` (see
@@ -467,7 +427,6 @@ pub struct Session<'a> {
     pool: BufferPool,
     cache: DecodeCache,
     entries: EntryCache,
-    mode: EntryDecodeMode,
     readahead: u32,
     pub stats: OpStats,
 }
@@ -501,7 +460,6 @@ impl<'a> Session<'a> {
             pool: state.pool,
             cache: state.cache,
             entries: state.entries,
-            mode: state.mode,
             readahead: state.readahead,
             stats: state.stats,
         }
@@ -513,7 +471,6 @@ impl<'a> Session<'a> {
             pool: self.pool,
             cache: self.cache,
             entries: self.entries,
-            mode: self.mode,
             readahead: self.readahead,
             stats: self.stats,
             // Every decode cached in this session came from the index as it
@@ -549,16 +506,6 @@ impl<'a> Session<'a> {
         self.cache.clear();
         self.entries.clear();
         self.stats = OpStats::default();
-    }
-
-    /// Choose how entry lookups are served (see [`EntryDecodeMode`]).
-    pub fn set_entry_decode(&mut self, mode: EntryDecodeMode) {
-        self.mode = mode;
-    }
-
-    /// The entry-decode mode in force.
-    pub fn entry_decode(&self) -> EntryDecodeMode {
-        self.mode
     }
 
     /// Enable batched prefetch with a `pages`-page readahead window (0
@@ -633,10 +580,6 @@ impl<'a> Session<'a> {
     /// *populates* tier 2 — point lookups must not evict whole-node decodes
     /// that classification scans rely on.
     pub fn try_read_entry(&mut self, n: NodeId, o: ObjectId) -> OpResult<(u8, Slot)> {
-        if self.mode == EntryDecodeMode::Off {
-            let sig = self.try_read_signature(n)?;
-            return Ok((sig.cats[o.index()], sig.links[o.index()]));
-        }
         self.fetch_record(n.index())?;
         self.stats.entry_reads += 1;
         if let Some(v) = self.entries.get(n, o) {
@@ -658,12 +601,11 @@ impl<'a> Session<'a> {
 
     /// Batched [`try_read_entry`](Self::try_read_entry): one record read
     /// charges the whole request, targets sharing a run share decode work.
-    /// Under [`EntryDecodeMode::Auto`], a request covering `≥ D / K`
-    /// objects falls back to a full decode — at that density a single
-    /// sequential pass is cheaper than the per-run replays.
+    /// A request covering `≥ D / K` objects takes a full decode instead —
+    /// at that density a single sequential pass is cheaper than the
+    /// per-run replays.
     pub fn try_read_entries(&mut self, n: NodeId, objs: &[ObjectId]) -> OpResult<Vec<(u8, Slot)>> {
-        let wide = objs.len() * self.index.skip_stride() >= self.index.num_objects();
-        if self.mode == EntryDecodeMode::Off || (self.mode == EntryDecodeMode::Auto && wide) {
+        if objs.len() * self.index.skip_stride() >= self.index.num_objects() {
             let sig = self.try_read_signature(n)?;
             return Ok(objs
                 .iter()
@@ -766,12 +708,6 @@ impl<'a> Session<'a> {
             );
         }
         Ok(path)
-    }
-
-    /// Infallible [`try_path_to_object`](Self::try_path_to_object).
-    pub fn path_to_object(&mut self, n: NodeId, a: ObjectId) -> Vec<NodeId> {
-        self.try_path_to_object(n, a)
-            .expect("storage fault on a session without a fault plan")
     }
 
     /// §3.2.1 approximate retrieval `d̃(n, a, ∆)`: refine the distance range
@@ -1098,12 +1034,6 @@ impl<'a> Session<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Infallible [`try_select_nearest`](Self::try_select_nearest).
-    pub fn select_nearest(&mut self, n: NodeId, objs: &mut [ObjectId], j: usize) {
-        self.try_select_nearest(n, objs, j)
-            .expect("storage fault on a session without a fault plan")
     }
 
     /// Prefetch the node each unfinished walker will backtrack to next —
@@ -1462,7 +1392,7 @@ mod tests {
             let mut all: Vec<ObjectId> = objects.objects().collect();
             for j in [1usize, 3, all.len() / 2, all.len()] {
                 let mut objs = all.clone();
-                sess.select_nearest(n, &mut objs, j);
+                sess.try_select_nearest(n, &mut objs, j).unwrap();
                 let mut got: Vec<u32> = objs[..j.min(objs.len())]
                     .iter()
                     .map(|o| trees[o.index()].dist[n.index()])
@@ -1488,7 +1418,7 @@ mod tests {
         let n = NodeId(7);
         sess.cold_reset();
         let mut objs = all.clone();
-        sess.select_nearest(n, &mut objs, 2);
+        sess.try_select_nearest(n, &mut objs, 2).unwrap();
         let select_hops = sess.stats.hops;
         sess.cold_reset();
         let mut objs = all.clone();
@@ -1507,7 +1437,7 @@ mod tests {
         let trees: Vec<_> = objects.iter().map(|(_, h)| sssp(&net, h)).collect();
         for n in net.nodes().step_by(53) {
             for (o, host) in objects.iter() {
-                let path = sess.path_to_object(n, o);
+                let path = sess.try_path_to_object(n, o).unwrap();
                 assert_eq!(path.first(), Some(&n));
                 assert_eq!(path.last(), Some(&host));
                 let mut len = 0;
@@ -1526,9 +1456,8 @@ mod tests {
         let o = objects.objects().next().unwrap();
         sess.retrieve_exact(NodeId(1), o);
         assert!(sess.io_stats().logical > 0);
-        // The retrieval hot path charges entry reads (full signature reads
-        // under EntryDecodeMode::Off).
-        assert!(sess.stats.signature_reads + sess.stats.entry_reads > 0);
+        // The retrieval hot path charges entry reads.
+        assert!(sess.stats.entry_reads > 0);
         sess.reset_stats();
         assert_eq!(sess.io_stats().logical, 0);
         assert_eq!(sess.stats.signature_reads + sess.stats.entry_reads, 0);
@@ -1634,56 +1563,45 @@ mod tests {
     }
 
     #[test]
-    fn entry_reads_carry_same_io_charge_as_signature_reads() {
+    fn narrow_requests_take_the_entry_path() {
         let (net, objects, idx) = fixture();
-        let o = objects.objects().next().unwrap();
-        let mut on = idx.session(&net);
-        on.set_entry_decode(EntryDecodeMode::On);
-        let mut off = idx.session(&net);
-        off.set_entry_decode(EntryDecodeMode::Off);
+        let objs: Vec<ObjectId> = objects.objects().collect();
+        // One object is below the D / K width at which a request decodes
+        // the whole signature.
+        assert!(idx.skip_stride() < idx.num_objects());
+        let mut sess = idx.session(&net);
+        let mut full = idx.session(&net);
         for n in net.nodes().step_by(37) {
-            assert_eq!(on.retrieve_exact(n, o), off.retrieve_exact(n, o));
+            let sig = idx.decode_node(n);
+            for &o in objs.iter().step_by(3) {
+                let want = (sig.cats[o.index()], sig.links[o.index()]);
+                assert_eq!(sess.try_read_entries(n, &[o]).unwrap(), vec![want]);
+                assert_eq!(sess.try_read_entry(n, o).unwrap(), want);
+                full.try_read_signature(n).unwrap();
+                full.try_read_signature(n).unwrap();
+            }
         }
-        // Identical logical record reads either way: the directory buys CPU,
-        // not unaccounted I/O.
-        assert_eq!(on.io_stats().logical, off.io_stats().logical);
-        assert!(on.stats.entry_reads > 0 && on.stats.signature_reads == 0);
-        assert!(off.stats.entry_reads == 0 && off.stats.signature_reads > 0);
-        assert_eq!(on.stats.hops, off.stats.hops);
+        assert!(sess.stats.entry_reads > 0);
+        assert_eq!(sess.stats.signature_reads, 0);
+        // The directory buys CPU, not unaccounted I/O: an entry read
+        // charges the same record read as a full one.
+        assert_eq!(sess.io_stats().logical, full.io_stats().logical);
     }
 
     #[test]
-    fn entry_decode_modes_agree_on_all_operations() {
+    fn wide_requests_take_the_full_decode() {
         let (net, objects, idx) = fixture();
         let objs: Vec<ObjectId> = objects.objects().collect();
-        for mode in [
-            EntryDecodeMode::On,
-            EntryDecodeMode::Off,
-            EntryDecodeMode::Auto,
-        ] {
-            let mut sess = idx.session(&net);
-            sess.set_entry_decode(mode);
-            let mut baseline = idx.session(&net);
-            baseline.set_entry_decode(EntryDecodeMode::Off);
-            for n in net.nodes().step_by(53) {
-                for &o in objs.iter().take(4) {
-                    assert_eq!(sess.retrieve_exact(n, o), baseline.retrieve_exact(n, o));
-                }
-                assert_eq!(
-                    sess.compare_exact(n, objs[0], objs[objs.len() - 1]),
-                    baseline.compare_exact(n, objs[0], objs[objs.len() - 1]),
-                );
-                assert_eq!(
-                    sess.compare_approx(n, objs[0], objs[1]),
-                    baseline.compare_approx(n, objs[0], objs[1]),
-                );
-                let mut a = objs.clone();
-                let mut b = objs.clone();
-                sess.sort_objects(n, &mut a);
-                baseline.sort_objects(n, &mut b);
-                assert_eq!(a, b, "sort under {mode:?} at {n}");
+        let mut sess = idx.session(&net);
+        for n in net.nodes().step_by(37) {
+            let got = sess.try_read_entries(n, &objs).unwrap();
+            let sig = idx.decode_node(n);
+            for (i, o) in objs.iter().enumerate() {
+                assert_eq!(got[i], (sig.cats[o.index()], sig.links[o.index()]));
             }
         }
+        assert!(sess.stats.signature_reads > 0);
+        assert_eq!(sess.stats.entry_reads, 0);
     }
 
     #[test]
@@ -1691,7 +1609,6 @@ mod tests {
         let (net, objects, idx) = fixture();
         let o = objects.objects().next().unwrap();
         let mut sess = idx.session(&net);
-        sess.set_entry_decode(EntryDecodeMode::On);
         let a = sess.try_read_entry(NodeId(2), o).unwrap();
         assert_eq!(sess.stats.entry_cache_misses, 1);
         let b = sess.try_read_entry(NodeId(2), o).unwrap();
@@ -1709,7 +1626,6 @@ mod tests {
         let (net, objects, idx) = fixture();
         let o = objects.objects().next().unwrap();
         let mut sess = idx.session(&net);
-        sess.set_entry_decode(EntryDecodeMode::On);
         let sig = sess.read_signature(NodeId(9)); // populates tier 2
         let before = sess.stats.decode_cache_hits;
         let got = sess.try_read_entry(NodeId(9), o).unwrap();
@@ -1718,40 +1634,14 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_falls_back_to_full_decode_on_wide_requests() {
-        let (net, objects, idx) = fixture();
-        let objs: Vec<ObjectId> = objects.objects().collect();
-        let mut sess = idx.session(&net);
-        sess.set_entry_decode(EntryDecodeMode::Auto);
-        // A request covering every object crosses the D/K threshold.
-        let got = sess.try_read_entries(NodeId(4), &objs).unwrap();
-        assert!(sess.stats.signature_reads > 0, "wide request decodes fully");
-        let sig = idx.decode_node(NodeId(4));
-        for (i, o) in objs.iter().enumerate() {
-            assert_eq!(got[i], (sig.cats[o.index()], sig.links[o.index()]));
-        }
-    }
-
-    #[test]
-    fn entry_decode_mode_parses_from_str() {
-        assert_eq!("on".parse::<EntryDecodeMode>(), Ok(EntryDecodeMode::On));
-        assert_eq!("off".parse::<EntryDecodeMode>(), Ok(EntryDecodeMode::Off));
-        assert_eq!("auto".parse::<EntryDecodeMode>(), Ok(EntryDecodeMode::Auto));
-        assert!("fast".parse::<EntryDecodeMode>().is_err());
-    }
-
-    #[test]
-    fn suspend_resume_preserves_entry_mode_and_cache() {
+    fn suspend_resume_keeps_the_entry_cache() {
         let (net, objects, idx) = fixture();
         let o = objects.objects().next().unwrap();
         let mut sess = idx.session(&net);
-        sess.set_entry_decode(EntryDecodeMode::On);
         sess.try_read_entry(NodeId(2), o).unwrap();
         let misses = sess.stats.entry_cache_misses;
         let state = sess.suspend();
-        assert_eq!(state.entry_decode(), EntryDecodeMode::On);
         let mut sess = Session::resume(&idx, &net, state);
-        assert_eq!(sess.entry_decode(), EntryDecodeMode::On);
         sess.try_read_entry(NodeId(2), o).unwrap();
         assert_eq!(
             sess.stats.entry_cache_misses, misses,

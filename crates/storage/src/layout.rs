@@ -49,11 +49,6 @@ impl PageLayout {
         }
     }
 
-    /// Number of records.
-    pub fn num_records(&self) -> usize {
-        self.start.len()
-    }
-
     /// Pages spanned by record `r` (empty range for zero-size records).
     pub fn pages_of(&self, r: usize) -> std::ops::Range<PageId> {
         let s = self.start[r];

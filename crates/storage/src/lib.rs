@@ -12,7 +12,7 @@
 //! * [`BufferPool`] is an LRU page cache; every structure charges its page
 //!   reads through it, and experiments read the [`IoStats`] counters.
 //! * [`PagedStore`] glues the three together for one on-disk structure.
-//! * [`Striped`] lock-stripes shared state ([`StripedPool`]: buffer pools)
+//! * [`Striped`] lock-stripes shared state (the service's session states)
 //!   so a multi-threaded read path can charge page accesses without a
 //!   global lock, with per-shard [`IoStats`] merged on demand.
 //!
@@ -38,4 +38,4 @@ pub use checksum::{crc32, FrameReader, FrameWriter, MAX_FRAME};
 pub use fault::{FaultPlan, StorageError};
 pub use layout::{PageId, PageLayout, PagedStore, PAGE_SIZE};
 pub use pagefile::{PageFile, StoreMode};
-pub use striped::{Striped, StripedPool};
+pub use striped::Striped;

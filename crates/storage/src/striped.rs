@@ -14,12 +14,9 @@
 //!   merge to identical totals under any schedule.
 //!
 //! The striped *thing* is generic: the service stripes whole query-session
-//! states; [`StripedPool`] is the plain buffer-pool instantiation with
-//! stats merging, usable wherever several threads share one disk model.
+//! states.
 
 use std::sync::{Mutex, MutexGuard};
-
-use crate::buffer::{BufferPool, IoStats};
 
 /// `S` shards of `T`, each behind its own mutex, with deterministic
 /// key → shard routing.
@@ -71,53 +68,26 @@ impl<T> Striped<T> {
             f(i, &mut shard.lock().expect("shard poisoned"));
         }
     }
-
-    /// Visit every shard without locking (requires exclusive access).
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(usize, &mut T)) {
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            f(i, shard.get_mut().expect("shard poisoned"));
-        }
-    }
-}
-
-/// A buffer pool split into lock-striped shards: page accesses are charged
-/// to the shard owning the caller's routing key, and counters are merged on
-/// demand.
-pub type StripedPool = Striped<BufferPool>;
-
-impl StripedPool {
-    /// `num_shards` pools of `pages_per_shard` pages each.
-    pub fn with_capacity(num_shards: usize, pages_per_shard: usize) -> Self {
-        Striped::new(num_shards, |_| BufferPool::new(pages_per_shard))
-    }
-
-    /// Counters summed over all shards. `logical` is schedule-independent
-    /// for a fixed key → shard routing; `faults` depend on each shard's
-    /// access order.
-    pub fn merged_stats(&self) -> IoStats {
-        let mut total = IoStats::default();
-        self.for_each(|_, pool| total += pool.stats());
-        total
-    }
-
-    /// Zero every shard's counters (cache contents stay warm).
-    pub fn reset_stats(&self) {
-        self.for_each(|_, pool| pool.reset_stats());
-    }
-
-    /// Drop every shard's cached pages and counters.
-    pub fn clear(&self) {
-        self.for_each(|_, pool| pool.clear());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufferPool;
+
+    fn pools(num_shards: usize, pages: usize) -> Striped<BufferPool> {
+        Striped::new(num_shards, |_| BufferPool::new(pages))
+    }
+
+    fn logical(s: &Striped<BufferPool>) -> u64 {
+        let mut total = 0;
+        s.for_each(|_, pool| total += pool.stats().logical);
+        total
+    }
 
     #[test]
     fn routing_is_deterministic_and_in_range() {
-        let s = StripedPool::with_capacity(8, 4);
+        let s = pools(8, 4);
         for key in 0..1000u64 {
             let a = s.shard_of(key);
             assert_eq!(a, s.shard_of(key));
@@ -127,7 +97,7 @@ mod tests {
 
     #[test]
     fn routing_spreads_consecutive_keys() {
-        let s = StripedPool::with_capacity(8, 4);
+        let s = pools(8, 4);
         let mut used = [false; 8];
         for key in 0..64u64 {
             used[s.shard_of(key)] = true;
@@ -140,44 +110,20 @@ mod tests {
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let s = StripedPool::with_capacity(0, 4);
+        let s = pools(0, 4);
         assert_eq!(s.num_shards(), 1);
         assert_eq!(s.shard_of(42), 0);
-    }
-
-    #[test]
-    fn merged_stats_sum_across_shards() {
-        let s = StripedPool::with_capacity(4, 8);
-        for key in 0..100u64 {
-            s.lock(key).access(key as u32);
-        }
-        let m = s.merged_stats();
-        assert_eq!(m.logical, 100);
-        assert_eq!(m.faults, 100); // distinct pages, cold pools
-        s.reset_stats();
-        assert_eq!(s.merged_stats(), IoStats::default());
-        // Warm after reset: the same accesses now hit (each shard holds ≤ 8
-        // pages but sees ≤ 100/4-ish distinct ones — use few keys instead).
-        s.clear();
-        for _ in 0..5 {
-            for key in 0..4u64 {
-                s.lock(key).access(key as u32);
-            }
-        }
-        let m = s.merged_stats();
-        assert_eq!(m.logical, 20);
-        assert!(m.faults <= 4, "at most one cold fault per distinct page");
     }
 
     #[test]
     fn concurrent_access_totals_match_serial() {
         // The determinism claim: logical totals are schedule-independent.
         let keys: Vec<u64> = (0..2000).map(|i| (i * 31) % 257).collect();
-        let serial = StripedPool::with_capacity(8, 16);
+        let serial = pools(8, 16);
         for &k in &keys {
             serial.lock(k).access(k as u32);
         }
-        let striped = StripedPool::with_capacity(8, 16);
+        let striped = pools(8, 16);
         std::thread::scope(|sc| {
             for chunk in keys.chunks(500) {
                 let striped = &striped;
@@ -188,9 +134,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(
-            striped.merged_stats().logical,
-            serial.merged_stats().logical
-        );
+        assert_eq!(logical(&striped), logical(&serial));
     }
 }

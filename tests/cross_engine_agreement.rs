@@ -179,10 +179,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Three-way element-wise agreement on random planar networks: the
-    /// signature index, incremental network expansion, and the contraction
-    /// hierarchy all serve the same mixed batch through the query service.
-    /// INE and the hierarchy both emit canonical orderings and must be
-    /// strictly equal; the signature path is compared tie-aware.
+    /// signature index, incremental network expansion, and the hub labels
+    /// all serve the same mixed batch through the query service. INE and
+    /// the labels both emit canonical orderings and must be strictly equal;
+    /// the signature path is compared tie-aware.
     #[test]
     fn three_backends_agree_on_random_networks(
         seed in 0u64..1 << 32,
@@ -223,12 +223,12 @@ proptest! {
 
         let sig = service.serve_batch_on(Backend::Signature, &batch, 2);
         let ine = service.serve_batch_on(Backend::Dijkstra, &batch, 2);
-        let ch = service.serve_batch_on(Backend::Hierarchy, &batch, 2);
+        let hl = service.serve_batch_on(Backend::HubLabel, &batch, 2);
         for (i, q) in batch.iter().enumerate() {
             prop_assert_eq!(
-                &ch.outputs[i],
+                &hl.outputs[i],
                 &ine.outputs[i],
-                "query {} ({:?}): ch vs ine",
+                "query {} ({:?}): hl vs ine",
                 i,
                 q
             );

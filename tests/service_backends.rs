@@ -1,6 +1,6 @@
 //! Every backend of the query service, through `QueryService`, on one
 //! fixture: the signature index, the shard router over three partitions,
-//! and the three in-memory oracles (Dijkstra, hierarchy, hub labels) answer
+//! and the two in-memory oracles (Dijkstra, hub labels) answer
 //! a mixed batch — with k = 0, k past |objects|, ε = 0, ε = ∞ and an
 //! unbounded join among its queries — element-wise equal to
 //! `Backend::Dijkstra`. A second cell fails every physical read: every
@@ -109,17 +109,12 @@ fn every_backend_answers_like_dijkstra() {
     assert_eq!(service.hierarchy_fallback_count(), 0);
 }
 
-/// Every other backend of `service` — signature, sharded, hierarchy and hub
-/// labels — against `Backend::Dijkstra` on `batch`, tie-tolerant at the
+/// Every other backend of `service` — signature, sharded and hub labels —
+/// against `Backend::Dijkstra` on `batch`, tie-tolerant at the
 /// kNN cut for the paged ones.
 fn assert_backends_answer_like_dijkstra(service: &QueryService, batch: &[Query], when: &str) {
     let truth = service.serve_batch_on(Backend::Dijkstra, batch, 2);
-    for backend in [
-        Backend::Signature,
-        Backend::Sharded,
-        Backend::Hierarchy,
-        Backend::HubLabel,
-    ] {
+    for backend in [Backend::Signature, Backend::Sharded, Backend::HubLabel] {
         let got = service.serve_batch_on(backend, batch, 2);
         assert_eq!(got.degraded_count() + got.shed, 0, "{when}{backend:?}");
         let paged = matches!(backend, Backend::Signature | Backend::Sharded);
