@@ -111,7 +111,13 @@ fn sharded_join_matches_the_single_index_for_every_k() {
     let config = SignatureConfig::default();
     let single = SignatureIndex::build(&net, &objects, &config);
     let mut base = single.session(&net);
-    for &eps in &radii(&net, &objects) {
+    // The single index filters its object-pair table below the last
+    // category's lower bound and runs range queries from it on; the
+    // regions run range queries throughout. Join on both sides.
+    let last_lb = single.partition().last_lb();
+    let mut eps_set = radii(&net, &objects);
+    eps_set.extend([last_lb - 1, last_lb]);
+    for &eps in &eps_set {
         let mut want = self_epsilon_join(&mut base, eps);
         want.sort_unstable();
         for k_parts in KS {

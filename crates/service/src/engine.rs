@@ -6,12 +6,14 @@
 //! Query sessions ([`SessionState`]: buffer pool, decode cache, counters)
 //! are striped across `S` shards ([`dsi_storage::Striped`]). A query is
 //! routed by [`Query::route_key`] (its query node; joins share a dedicated
-//! key), so repeated traffic near the same location lands on the same
-//! shard's warm caches while unrelated traffic proceeds in parallel. A
-//! worker holds the shard lock for the whole query: it *takes* the parked
-//! [`SessionState`], resumes a [`Session`] over it, executes, and parks the
-//! state back. Taking the state outside the lock would let a second worker
-//! on the same shard spin up a fresh state and fork the counters.
+//! key — a join below the last category's lower bound reads only the
+//! index's object-pair table and no page), so repeated traffic near the
+//! same location lands on the same shard's warm caches while unrelated
+//! traffic proceeds in parallel. A worker holds the shard lock for the
+//! whole query: it *takes* the parked [`SessionState`], resumes a
+//! [`Session`] over it, executes, and parks the state back. Taking the
+//! state outside the lock would let a second worker on the same shard spin
+//! up a fresh state and fork the counters.
 //!
 //! # Epochs: double-buffered maintenance
 //!
@@ -72,12 +74,16 @@
 //! # Backends
 //!
 //! The default backend executes on the signature index; [`Backend::Sharded`]
-//! routes the same queries across K partitioned signature indexes. The two
-//! in-memory backends answer them on exact distance oracles the epoch always
-//! holds, through one operator set (`exec.rs`): [`Backend::Dijkstra`] by
-//! incremental network expansion (the paper's INE baseline) in a
-//! per-worker [`dsi_graph::SsspWorkspace`], and [`Backend::HubLabel`] with
-//! no graph search at all — hub labels extracted from the epoch's
+//! routes the same node-anchored queries across K partitioned signature
+//! indexes and serves joins, which have no anchor to route by, from the
+//! epoch's single index. A self-join below the signature's last category
+//! filters the index's exact object-pair table; from that bound on it runs
+//! one range query per object. The two in-memory backends answer the same
+//! queries on exact distance oracles the epoch always holds, through one
+//! operator set (`exec.rs`): [`Backend::Dijkstra`] by incremental network
+//! expansion (the paper's INE baseline) in a per-worker
+//! [`dsi_graph::SsspWorkspace`], and [`Backend::HubLabel`] with no graph
+//! search at all — hub labels extracted from the epoch's
 //! contraction hierarchy plus the object hosts' labels inverted once per
 //! epoch into distance-sorted buckets ([`LabelBuckets`]), so kNN is one
 //! bounded scan ([`HubLabels::knn`]) and every self-join row one ε-bounded
@@ -92,15 +98,15 @@
 //! buffer pool injects deterministic read failures and corruptions on
 //! physical reads. The single index's shards and the partitions' stripes run
 //! one fault ladder: a failed attempt is retried (with bounded backoff) up to
-//! the configured retry budget; past it the query — or, for a sharded join,
-//! that partition's rows — is answered by the one in-memory rung, the
-//! epoch's label oracle, which never touches the faulty storage layer. The
-//! answer is still exact, only the fast path was skipped, and the query is
-//! tagged *degraded* in the [`BatchReport`]. A stripe that degrades several
-//! queries in a row is *quarantined*: its cached pages and decodes are
-//! dropped (counters survive, so batch deltas stay monotone) and it restarts
-//! with a cold working set. Queries shed by admission control land on the
-//! same rung.
+//! the configured retry budget; past it the query is answered by the one
+//! in-memory rung, the epoch's label oracle, which never touches the faulty
+//! storage layer. A join below the last category reads no page, so no
+//! fault reaches it. The answer is still exact, only the fast path was
+//! skipped, and the query is tagged *degraded* in the [`BatchReport`]. A
+//! stripe that degrades several queries in a row is *quarantined*: its
+//! cached pages and decodes are dropped (counters survive, so batch deltas
+//! stay monotone) and it restarts with a cold working set. Queries shed by
+//! admission control land on the same rung.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -121,7 +127,7 @@ use dsi_signature::{
 };
 use dsi_storage::{FaultPlan, IoStats, PageFile, StoreMode, Striped, PAGE_SIZE};
 
-use crate::exec::{self, ObjectDistances, Scratch};
+use crate::exec::{self, Scratch};
 
 use crate::journal::{
     read_checkpoint, write_atomically, write_checkpoint, EdgeUpdate, JournalRecord, UpdateJournal,
@@ -155,10 +161,11 @@ pub enum Backend {
     /// from the epoch's contraction hierarchy.
     HubLabel,
     /// The shard router over K partitioned signature indexes
-    /// ([`ServiceConfig::partitions`]): each query runs its home region's
-    /// operators, and remote regions contribute through the boundary
-    /// overlay's hub labels and the precomputed glue rows — no remote page
-    /// is touched. With `partitions ≤ 1` this degenerates to the plain
+    /// ([`ServiceConfig::partitions`]): each node-anchored query runs its
+    /// home region's operators, and remote regions contribute through the
+    /// boundary overlay's hub labels and the precomputed glue rows — no
+    /// remote page is touched. A join has no anchor and runs on the epoch's
+    /// single index. With `partitions ≤ 1` this degenerates to the plain
     /// signature path.
     Sharded,
 }
@@ -640,8 +647,7 @@ pub struct QueryService {
     /// queries).
     quarantines: AtomicU64,
     /// Queries answered on the label oracle after their fast path
-    /// exhausted its retry budget — once per query, however many
-    /// partitions of a join degraded.
+    /// exhausted its retry budget.
     degraded_queries: AtomicU64,
     /// Label lookups performed outside any session — the hub-label backend
     /// and the in-memory fallbacks (labels are memory-resident, so these
@@ -1133,49 +1139,21 @@ impl QueryService {
     /// A node-anchored query locks its home partition's stripe only: the
     /// region operators run on that partition's session, and remote regions
     /// contribute through the boundary overlay's hub labels and the
-    /// precomputed glue rows — no remote page is touched. A join visits
-    /// every partition in turn, each under its own lock and ladder; a
-    /// degraded partition's rows come from the label oracle's join rows
-    /// over that partition's objects while the healthy ones still answer
-    /// off their indexes.
+    /// precomputed glue rows — no remote page is touched. A join is
+    /// anchored at no node, so there is nothing to route: it runs on the
+    /// epoch's single index, which every epoch holds and maintains.
     ///
     /// With [`ServiceConfig::partitions`] ≤ 1 there is nothing to route
     /// across and the query takes the literal single-index path.
     fn execute_sharded(&self, ep: &EpochIndex, q: &Query, sc: &mut Scratch) -> (QueryOutput, bool) {
-        let Some(pe) = &ep.parted else {
+        let (
+            Some(pe),
+            Query::Range { node, .. } | Query::Knn { node, .. } | Query::Aggregate { node, .. },
+        ) = (&ep.parted, *q)
+        else {
             return self.execute_signature(ep, q, sc);
         };
         let file = ep.pages.as_ref().and_then(|pg| pg.parted.as_ref());
-        let node = match *q {
-            Query::Range { node, .. } | Query::Knn { node, .. } | Query::Aggregate { node, .. } => {
-                node
-            }
-            Query::Join { eps } => {
-                let mut pairs = Vec::new();
-                let mut degraded = false;
-                for p in 0..pe.pidx.num_parts() {
-                    let rows = self.ladder(
-                        &mut pe.shards.lock_shard(p),
-                        file,
-                        |state| pe.pidx.resume(p, state),
-                        |sess| pe.pidx.try_join_rows(sess, p, eps),
-                    );
-                    match rows {
-                        Some(rows) => pairs.extend(rows),
-                        None => {
-                            degraded = true;
-                            let mut labels = sc.labels(&ep.oracle.hl, &ep.buckets, &ep.objects);
-                            for a in pe.pidx.part(p).real_objects() {
-                                labels.join_row(a, eps, &mut pairs);
-                            }
-                            self.charge_labels(labels.lookups, labels.scanned);
-                        }
-                    }
-                }
-                pairs.sort_unstable();
-                return (QueryOutput::Join(pairs), degraded);
-            }
-        };
         let p = pe.pidx.part_of(node);
         let answered = self.ladder(
             &mut pe.shards.lock_shard(p),
@@ -1191,7 +1169,7 @@ impl QueryService {
                     .pidx
                     .try_aggregate(sess, p, node, eps)
                     .map(QueryOutput::Aggregate),
-                Query::Join { .. } => unreachable!("answered above"),
+                Query::Join { .. } => unreachable!("joins run on the single index"),
             },
         );
         match answered {
@@ -1696,9 +1674,8 @@ impl QueryService {
 
     /// Degraded queries since the service was built: queries whose fast
     /// path exhausted its retry budget and that the epoch's label oracle
-    /// answered instead. Each counts once, however many partitions of a
-    /// sharded join degraded — the sum of [`BatchReport::degraded_count`]
-    /// over every batch served.
+    /// answered instead — the sum of [`BatchReport::degraded_count`] over
+    /// every batch served.
     pub fn hierarchy_fallback_count(&self) -> u64 {
         self.degraded_queries.load(Ordering::Relaxed)
     }
@@ -1937,7 +1914,7 @@ mod tests {
         }
     }
 
-    fn small_service(partitions: usize, fault_plan: FaultPlan) -> QueryService {
+    fn small_service() -> QueryService {
         let mut rng = StdRng::seed_from_u64(31);
         let net = random_planar(
             &PlanarConfig {
@@ -1947,17 +1924,17 @@ mod tests {
             &mut rng,
         );
         let objects = ObjectSet::uniform(&net, 0.06, &mut rng);
-        let cfg = ServiceConfig {
-            partitions,
-            fault_plan,
-            ..Default::default()
-        };
-        QueryService::new(net, objects, &SignatureConfig::default(), &cfg)
+        QueryService::new(
+            net,
+            objects,
+            &SignatureConfig::default(),
+            &ServiceConfig::default(),
+        )
     }
 
     #[test]
     fn bucket_scans_match_the_per_object_reference() {
-        let svc = small_service(1, FaultPlan::none());
+        let svc = small_service();
         let ep = svc.snapshot();
         let objects = &ep.objects;
 
@@ -1998,26 +1975,5 @@ mod tests {
                 "{q:?}"
             );
         }
-    }
-
-    #[test]
-    fn degraded_partition_join_rows_come_from_the_epoch_buckets() {
-        // Every physical read fails, so every partition's share of the join
-        // degrades onto the label oracle's join rows.
-        let svc = small_service(3, FaultPlan::failures(29, 1.0, 0.0));
-        let ep = svc.snapshot();
-        let eps = 15;
-        let (out, degraded) =
-            svc.execute_sharded(&ep, &Query::Join { eps }, &mut Scratch::default());
-        assert!(degraded);
-        assert_eq!(
-            out,
-            reference_hub_label(&ep.objects, &ep.oracle.hl, &Query::Join { eps })
-        );
-        // One lookup per source object — no per-partition bucket rebuild.
-        assert_eq!(
-            svc.hl_lookups.load(Ordering::Relaxed),
-            ep.objects.len() as u64
-        );
     }
 }

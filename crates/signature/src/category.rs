@@ -189,6 +189,12 @@ impl CategoryPartition {
         self.range_of(cat).lo
     }
 
+    /// Lower bound of the open-ended last category: the object-distance
+    /// table stores exactly the pairs closer than this.
+    pub fn last_lb(&self) -> Dist {
+        self.lb((self.num_categories() - 1) as u8)
+    }
+
     /// Inclusive upper bound of category `cat` (`s(n)[o].ub − 1`); the last
     /// category returns `INFINITY`.
     pub fn ub(&self, cat: u8) -> Dist {

@@ -156,7 +156,7 @@ pub struct DecodedSignature {
 /// In-memory table of object↔object network distances (§3.2.2). Distances
 /// falling in the last (open-ended) category are not stored — such objects
 /// "are never used as the observer for one another".
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObjDistTable {
     pub(crate) rows: Vec<Vec<(u32, Dist)>>,
 }
@@ -318,7 +318,7 @@ impl SignatureIndex {
 
         let partition = config.partition_for(net, objects);
         let code = ReverseZeroPadding::new(partition.num_categories());
-        let last_lb = partition.lb((partition.num_categories() - 1) as u8);
+        let last_lb = partition.last_lb();
         let link_bits = link_bits_for(net.max_degree());
 
         // Per-object shortest-path trees → category/link columns.

@@ -868,6 +868,11 @@ mod tests {
                     forest_idx.obj_dist().rows,
                     "round {round}"
                 );
+                assert_eq!(
+                    idx.obj_dist().rows,
+                    fresh.obj_dist().rows,
+                    "round {round}: the table against a fresh build"
+                );
                 for n in net.nodes() {
                     let (got, want) = (idx.decode_node(n), fresh.decode_node(n));
                     assert_eq!(got.cats, want.cats, "{scheme:?} round {round}: cats at {n}");

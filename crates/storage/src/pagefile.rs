@@ -102,7 +102,13 @@ pub struct PageFile {
 
 impl PageFile {
     /// Write `image` (length a multiple of [`PAGE_SIZE`]) as a page file at
-    /// `path`, with a per-page CRC-32 table in the header, and sync it.
+    /// `path`, with a per-page CRC-32 table in the header.
+    ///
+    /// The file is not synced. A page file is a scratch image of state that
+    /// lives elsewhere — the service writes one per epoch, unlinks it when
+    /// the epoch retires and rebuilds it on recovery, never reading it back
+    /// across a restart — so its durability buys nothing. Integrity does
+    /// not depend on it: every read checks the page against its CRC.
     pub fn create(path: &Path, image: &[u8]) -> io::Result<()> {
         assert_eq!(
             image.len() % PAGE_SIZE,
@@ -121,8 +127,7 @@ impl PageFile {
         header.resize(data_off, 0);
         let mut f = File::create(path)?;
         f.write_all(&header)?;
-        f.write_all(image)?;
-        f.sync_all()
+        f.write_all(image)
     }
 
     /// Open a page file for reading. With `use_mmap` (and the `mmap`

@@ -33,7 +33,10 @@ echo "== cargo test --release (the optimised kernels are the ones under test) ==
 # properties of crates/hierarchy/tests/proptest_labels.rs, run in debug by
 # the step above), the label-driven signature repair a publish runs (the
 # label route against the forest route and a fresh build after every
-# publish, tests/label_maintenance.rs) and the signature codec once more
+# publish, tests/label_maintenance.rs, which also pins the maintained
+# object-pair table to a fresh build's: a self-join below the last
+# category's lower bound reads that table and no page) and the signature
+# codec once more
 # as the benchmark and a publish run them: release arithmetic, debug
 # assertions compiled out. The storage crate and the persistence tests
 # run here too: the slicing-by-16 CRC-32 that verifies every buffer miss
@@ -42,7 +45,8 @@ echo "== cargo test --release (the optimised kernels are the ones under test) ==
 # checkpoint fuzz. The hub labels' narrow (u16) and wide (u32) columns
 # run through every backend of the service at K = 1 and K = 3, with the
 # weight domain's refusals and its largest admissible weight, across a
-# recovery (tests/service_backends.rs).
+# recovery, with joins on both sides of the last category's lower bound
+# (tests/service_backends.rs).
 cargo test --release -q -p dsi-graph -p dsi-hierarchy -p dsi-signature -p dsi-storage
 cargo test --release -q --test label_maintenance
 cargo test --release -q --test persistence_and_cnn
@@ -57,7 +61,10 @@ echo "== fault matrix (service equivalence under injected storage faults) =="
 # matter which deterministic fault schedule fires, and every degraded
 # query is absorbed by the epoch's label oracle — the ladder's one
 # in-memory rung. The request width picks the signature read path, and
-# the suite checks that its mixed batch takes both.
+# the suite checks that its mixed batch takes both. A join below the last
+# category's lower bound reads no page and so cannot fault; the suite
+# asserts that its mixed batch holds a join at or past that bound, which
+# reads pages and so keeps joins in the matrix.
 for seed in 1 2 3; do
     echo "-- DSI_FAULT_SEED=$seed --"
     DSI_FAULT_SEED=$seed cargo test -q -p dsi-service --test faults

@@ -9,7 +9,8 @@
 //! * every category and object-pair distance equals the forest route's
 //!   (links may differ there only where the forest kept another tight
 //!   parent on a tie: the forest keeps whichever it met first);
-//! * every decoded signature — links included — equals a fresh
+//! * every decoded signature — links included — and the object-pair table
+//!   (which a self-join below the last category reads alone) equal a fresh
 //!   `SignatureIndex::build` on the epoch's network;
 //! * the index's bytes equal `update_from_labels` run on its own over the
 //!   same batches (what the service publishes is the label route, exactly);
@@ -164,6 +165,11 @@ fn the_label_route_is_the_forest_route_and_a_fresh_build() {
         );
 
         let fresh = SignatureIndex::build(ep.net(), &objects, &pinned);
+        // The self-join below the last category reads this table alone.
+        assert!(
+            index.obj_dist() == fresh.obj_dist(),
+            "{ctx}: the object-pair table differs from a fresh build"
+        );
         for n in ep.net().nodes() {
             let (got, want, paper) = (
                 index.decode_node(n),

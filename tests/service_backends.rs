@@ -1,11 +1,13 @@
 //! Every backend of the query service, through `QueryService`, on one
 //! fixture: the signature index, the shard router over three partitions,
 //! and the two in-memory oracles (Dijkstra, hub labels) answer
-//! a mixed batch — with k = 0, k past |objects|, ε = 0, ε = ∞ and an
-//! unbounded join among its queries — element-wise equal to
-//! `Backend::Dijkstra`. A second cell fails every physical read: every
-//! query then degrades onto the label oracle, the answers do not move, and
-//! the service's lifetime degraded count equals the batch's. A third
+//! a mixed batch — with k = 0, k past |objects|, ε = 0, ε = ∞, and joins
+//! on both sides of the last category's lower bound and unbounded among its
+//! queries — element-wise equal to `Backend::Dijkstra`. A second cell fails
+//! every physical read: every query that reads a page then degrades onto
+//! the label oracle exactly once, a join below the last category (which
+//! reads only the object-pair table) stays on the fast path, and the answers
+//! do not move. A third
 //! closes every edge of one node: the batch would disconnect the network,
 //! so it is refused before it is journaled, and nothing moves. A fourth
 //! walks the weight domain's edges: weight 0 and `INFINITY − 1` are refused
@@ -16,7 +18,7 @@
 
 use distance_signature::graph::generate::{random_planar, PlanarConfig};
 use distance_signature::graph::ids::max_weight;
-use distance_signature::graph::{NodeId, ObjectSet, INFINITY};
+use distance_signature::graph::{Dist, NodeId, ObjectSet, INFINITY};
 use distance_signature::service::journal::JOURNAL_FILE;
 use distance_signature::service::{
     generate, Backend, EdgeUpdate, Query, QueryOutput, QueryService, ServiceConfig, UpdateJournal,
@@ -51,8 +53,15 @@ fn service_with(cfg: ServiceConfig) -> QueryService {
     QueryService::new(net, objects, &SignatureConfig::default(), &cfg)
 }
 
+/// The lower bound of the signature's last category: a self-join below it
+/// reads only the object-pair table, from it on one range per object.
+fn last_lb(service: &QueryService) -> Dist {
+    service.index().partition().last_lb()
+}
+
 /// A generated mix plus the edge cases: k = 0 and k past |objects|, ε = 0
-/// and ε = ∞ for range and aggregate, and a join at ε = ∞.
+/// and ε = ∞ for range and aggregate, and joins at the last category's
+/// lower bound, just below it and at ε = ∞.
 fn batch(service: &QueryService) -> Vec<Query> {
     let n = service.objects().len();
     let mut batch = generate(
@@ -79,7 +88,10 @@ fn batch(service: &QueryService) -> Vec<Query> {
             batch.push(Query::Knn { node, k });
         }
     }
-    batch.push(Query::Join { eps: INFINITY });
+    let last_lb = last_lb(service);
+    for eps in [last_lb - 1, last_lb, INFINITY] {
+        batch.push(Query::Join { eps });
+    }
     batch
 }
 
@@ -138,26 +150,28 @@ fn every_query_degrades_onto_the_labels_and_is_counted_once() {
     let truth = clean.serve_batch_on(Backend::Dijkstra, &batch, 2);
     let got = faulty.serve_batch_on(Backend::Sharded, &batch, 2);
 
-    assert_eq!(
-        got.degraded_count(),
-        batch.len(),
-        "a query took the fast path"
+    // A join below the last category reads no page, so no fault can reach
+    // it: it stays on the fast path. Every other query reads pages and
+    // degrades.
+    let last_lb = last_lb(&clean);
+    let reads_pages = |q: &Query| !matches!(*q, Query::Join { eps } if eps < last_lb);
+    let paged = batch.iter().filter(|q| reads_pages(q)).count();
+    assert!(paged < batch.len(), "the batch holds no table join");
+    assert!(
+        batch
+            .iter()
+            .any(|q| matches!(*q, Query::Join { eps } if eps >= last_lb)),
+        "the batch holds no page-reading join"
     );
     for (i, (a, b)) in got.outputs.iter().zip(&truth.outputs).enumerate() {
-        assert_eq!(a, b, "degraded query {i} ({:?})", batch[i]);
+        let q = &batch[i];
+        assert_eq!(a, b, "query {i} ({q:?})");
+        assert_eq!(got.degraded[i], reads_pages(q), "query {i} ({q:?})");
     }
-    // Each partition notes its own degradation: a join degrades in all
-    // three, every point query in its home partition only.
-    let joins = batch
-        .iter()
-        .filter(|q| matches!(q, Query::Join { .. }))
-        .count();
-    assert_eq!(
-        got.ops.degraded,
-        (batch.len() - joins + PARTITIONS * joins) as u64
-    );
-    // The lifetime counter counts queries, not partitions.
-    assert_eq!(faulty.hierarchy_fallback_count(), batch.len() as u64);
+    // Each degraded query is noted once, joins included: a join runs on
+    // the single index, not once per partition.
+    assert_eq!(got.ops.degraded, paged as u64);
+    assert_eq!(faulty.hierarchy_fallback_count(), paged as u64);
 }
 
 #[test]
