@@ -5,12 +5,12 @@
 //! per-class latency percentiles, throughput and I/O counters. With
 //! `--sweep`, serves the same batch at 1/2/4/... workers for a scaling
 //! table; with `--updates N`, applies N random edge updates between two
-//! batches to exercise the maintenance epoch; with `--update-rate F`,
-//! runs the mixed read/update mode — an updater thread applies
-//! `round(F × rounds)` edge-update batches *while* the reader rounds run,
-//! and the summary reports how much of the maintenance latency the
-//! double-buffered epoch swap hid from the reader tail (p99 with vs.
-//! without concurrent maintenance).
+//! batches to exercise the maintenance epoch.
+//!
+//! This is a demonstration surface, not a measurement protocol: numbers
+//! that decide anything come from `perfbench/` (see `BENCHMARK.json`), and
+//! the paper's tables and figures from the `repro_*` binaries of
+//! `crates/bench`.
 //!
 //! Example:
 //! ```text
@@ -19,7 +19,6 @@
 //! ```
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use dsi_graph::generate::{random_planar, PlanarConfig};
 use dsi_graph::ObjectSet;
@@ -31,18 +30,17 @@ use dsi_storage::{FaultPlan, StoreMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Fraction of nodes that carry an object.
+const OBJECT_DENSITY: f64 = 0.02;
+
 struct Args {
     nodes: usize,
-    object_density: f64,
     queries: usize,
     workers: usize,
-    shards: usize,
-    pool_pages: usize,
     skew: Skew,
     seed: u64,
     sweep: bool,
     updates: usize,
-    update_rate: f64,
     fault_rate: f64,
     corrupt_rate: f64,
     fault_seed: u64,
@@ -62,16 +60,12 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             nodes: 2000,
-            object_density: 0.02,
             queries: 1000,
             workers: 4,
-            shards: 16,
-            pool_pages: 64,
             skew: Skew::Zipf { theta: 0.8 },
             seed: 42,
             sweep: false,
             updates: 0,
-            update_rate: 0.0,
             fault_rate: 0.0,
             corrupt_rate: 0.0,
             fault_seed: 0xFA01,
@@ -94,14 +88,10 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
         match flag.as_str() {
             "--nodes" => args.nodes = parse(&value("--nodes")?)?,
-            "--density" => args.object_density = parse(&value("--density")?)?,
             "--queries" => args.queries = parse(&value("--queries")?)?,
             "--workers" => args.workers = parse(&value("--workers")?)?,
-            "--shards" => args.shards = parse(&value("--shards")?)?,
-            "--pool-pages" => args.pool_pages = parse(&value("--pool-pages")?)?,
             "--seed" => args.seed = parse(&value("--seed")?)?,
             "--updates" => args.updates = parse(&value("--updates")?)?,
-            "--update-rate" => args.update_rate = parse(&value("--update-rate")?)?,
             "--fault-rate" => args.fault_rate = parse(&value("--fault-rate")?)?,
             "--corrupt-rate" => args.corrupt_rate = parse(&value("--corrupt-rate")?)?,
             "--fault-seed" => args.fault_seed = parse(&value("--fault-seed")?)?,
@@ -112,13 +102,6 @@ fn parse_args() -> Result<Args, String> {
             "--partitions" => args.partitions = parse(&value("--partitions")?)?,
             "--store" => args.store = value("--store")?.parse()?,
             "--readahead" => args.readahead = parse(&value("--readahead")?)?,
-            "--batch" => {
-                args.readahead = match value("--batch")?.as_str() {
-                    "on" => 8,
-                    "off" => 0,
-                    other => return Err(format!("bad --batch {other:?} (on | off)")),
-                }
-            }
             "--deadline-us" => args.deadline_us = parse(&value("--deadline-us")?)?,
             "--spike-rate" => args.spike_rate = parse(&value("--spike-rate")?)?,
             "--spike-us" => args.spike_us = parse(&value("--spike-us")?)?,
@@ -135,20 +118,17 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: workload [--nodes N] [--density F] [--queries N] [--workers N]\n\
-                     \x20               [--shards N] [--pool-pages N] [--skew uniform|zipf:THETA]\n\
-                     \x20               [--seed N] [--sweep] [--updates N] [--update-rate F]\n\
-                     \x20               [--fault-rate F] [--corrupt-rate F] [--fault-seed N]\n\
-                     \x20               [--backend B] [--partitions K]\n\
-                     \x20               [--store mem|file|mmap] [--batch on|off]\n\
-                     \x20               [--readahead N] [--deadline-us N] [--spike-rate F]\n\
-                     \x20               [--spike-us N]\n\
+                    "usage: workload [--nodes N] [--queries N] [--workers N]\n\
+                     \x20               [--skew uniform|zipf:THETA] [--seed N] [--sweep]\n\
+                     \x20               [--updates N] [--fault-rate F] [--corrupt-rate F]\n\
+                     \x20               [--fault-seed N] [--backend B] [--partitions K]\n\
+                     \x20               [--store mem|file|mmap] [--readahead N]\n\
+                     \x20               [--deadline-us N] [--spike-rate F] [--spike-us N]\n\
                      \n\
-                     --update-rate F   mixed read/update mode: run the batch twice (read-only\n\
-                     \x20                 baseline, then with a concurrent updater thread\n\
-                     \x20                 publishing round(F x 8) epoch swaps) and report how\n\
-                     \x20                 much maintenance latency the double-buffered swap hid\n\
-                     \x20                 from reader p99\n\
+                     --nodes N         network size, at least 2 (default 2000; 2 % of the\n\
+                     \x20                 nodes carry an object)\n\
+                     --updates N       apply N random edge updates, then serve the batch\n\
+                     \x20                 again on the new epoch\n\
                      --fault-rate F    inject read failures on fraction F of physical reads\n\
                      --corrupt-rate F  inject page corruption on fraction F of physical reads\n\
                      --fault-seed N    seed for the deterministic fault stream\n\
@@ -162,9 +142,8 @@ fn parse_args() -> Result<Args, String> {
                      \x20                 says otherwise\n\
                      --store M         physical page store: mem (default, accounting-only),\n\
                      \x20                 file (pread from a checksummed page file), or mmap\n\
-                     --batch on|off    batched prefetch: on = readahead window of 8 pages +\n\
-                     \x20                 frontier prefetch, off (default) = single-page reads\n\
-                     --readahead N     explicit readahead window in pages (overrides --batch)\n\
+                     --readahead N     readahead window in pages (default 0 = single-page\n\
+                     \x20                 reads)\n\
                      --deadline-us N   per-query latency deadline for SLO admission control;\n\
                      \x20                 over-deadline load is shed onto the exact in-memory\n\
                      \x20                 backend (0 = off)\n\
@@ -173,30 +152,12 @@ fn parse_args() -> Result<Args, String> {
                 );
                 std::process::exit(0);
             }
-            other => match other.split_once('=') {
-                // Long flags also accept the `--flag=value` spelling; feed
-                // the split pieces back through the same machinery.
-                Some(("--backend", v)) => {
-                    args.backend = v.parse()?;
-                    args.backend_explicit = true;
-                }
-                Some(("--partitions", v)) => args.partitions = parse(v)?,
-                Some(("--update-rate", v)) => args.update_rate = parse(v)?,
-                Some(("--store", v)) => args.store = v.parse()?,
-                Some(("--readahead", v)) => args.readahead = parse(v)?,
-                Some(("--batch", v)) => {
-                    args.readahead = match v {
-                        "on" => 8,
-                        "off" => 0,
-                        other => return Err(format!("bad --batch {other:?} (on | off)")),
-                    }
-                }
-                Some(("--deadline-us", v)) => args.deadline_us = parse(v)?,
-                Some(("--spike-rate", v)) => args.spike_rate = parse(v)?,
-                Some(("--spike-us", v)) => args.spike_us = parse(v)?,
-                _ => return Err(format!("unknown flag {other:?} (try --help)")),
-            },
+            other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
+    }
+    // The planar generator needs two nodes to lay an edge.
+    if args.nodes < 2 {
+        return Err("--nodes must be at least 2".into());
     }
     Ok(args)
 }
@@ -228,7 +189,7 @@ fn main() -> ExitCode {
         },
         &mut rng,
     );
-    let objects = ObjectSet::uniform(&net, args.object_density, &mut rng);
+    let objects = ObjectSet::uniform(&net, OBJECT_DENSITY, &mut rng);
     println!(
         "network: {} nodes, {} edges, {} objects",
         net.num_nodes(),
@@ -260,8 +221,6 @@ fn main() -> ExitCode {
         objects,
         &SignatureConfig::default(),
         &ServiceConfig {
-            shards: args.shards,
-            pool_pages: args.pool_pages,
             fault_plan,
             partitions: args.partitions,
             store: args.store,
@@ -309,31 +268,6 @@ fn main() -> ExitCode {
         service.reset_stats();
         let report = service.serve_batch_on(args.backend, &batch, workers);
         println!("\n== {workers} worker(s) ==\n{}", report.summary());
-        // Machine-readable counters for scripts (scripts/bench_io.sh).
-        let io = &report.io;
-        let pages_per_call = if io.batched_reads > 0 {
-            io.batch_pages as f64 / io.batched_reads as f64
-        } else {
-            0.0
-        };
-        println!(
-            "io_logical={} io_faults={} physical_reads={} batched_reads={} batch_pages={} \
-             pages_per_call={pages_per_call:.2} prefetch_hits={} prefetch_wasted={} shed={} \
-             deadline_miss={} label_lookups={} label_entries={} worst_p99_ns={} qps={:.1}",
-            io.logical,
-            io.faults,
-            io.physical_reads(),
-            io.batched_reads,
-            io.batch_pages,
-            io.prefetch_hits,
-            io.prefetch_wasted,
-            report.shed,
-            report.deadline_misses,
-            report.ops.label_lookups,
-            report.ops.label_entries_scanned,
-            report.worst_p99_ns(),
-            report.throughput_qps()
-        );
     }
 
     if args.updates > 0 {
@@ -363,118 +297,6 @@ fn main() -> ExitCode {
         );
     }
 
-    if args.update_rate > 0.0 {
-        if let Err(e) = run_mixed(&service, &batch, &args) {
-            eprintln!("workload: mixed read/update mode failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
     println!("\n{}", service.stats_dump());
     ExitCode::SUCCESS
-}
-
-/// Minimum reader rounds per mixed pass; the pass keeps serving rounds
-/// until the updater thread has drained its batches (bounded by
-/// `MIXED_ROUND_CAP`), so the tail is actually measured *during* catch-up.
-const MIXED_ROUNDS: usize = 8;
-/// Edge updates per concurrent update batch in mixed mode.
-const MIXED_BATCH_EDGES: usize = 8;
-/// Safety valve on reader rounds (the updater observes the readers
-/// stopping and cuts its remaining batches short).
-const MIXED_ROUND_CAP: usize = 256;
-
-/// The mixed read/update mode (`--update-rate`): serve the query batch in
-/// repeated reader rounds while an updater thread drives double-buffered
-/// epoch publishes, then replay the *same number* of read-only rounds for
-/// a baseline, and report the update-latency-hiding ratio (worst per-round
-/// reader p99 with maintenance over without). Zero-pause maintenance keeps
-/// that ratio near CPU-sharing noise; stop-the-world maintenance would put
-/// whole rebuild latencies (hundreds of ms) into the reader tail.
-fn run_mixed(
-    service: &QueryService,
-    batch: &[dsi_service::Query],
-    args: &Args,
-) -> Result<(), String> {
-    let net = service.net();
-    let update_batches = ((args.update_rate * MIXED_ROUNDS as f64).round() as usize).max(1);
-
-    // Warm round so neither pass pays the cold-start tail.
-    service.serve_batch_on(args.backend, batch, args.workers);
-
-    // Mixed pass: reader rounds run until the updater has drained.
-    let epoch_before = service.epoch();
-    let updater_done = AtomicBool::new(false);
-    let readers_stopped = AtomicBool::new(false);
-    let mut mixed_rounds: Vec<u64> = Vec::new();
-    let mut swaps = 0u64;
-    let mut stale = 0u64;
-    let update_err = std::thread::scope(|scope| {
-        let updater = scope.spawn(|| {
-            for i in 0..update_batches {
-                if readers_stopped.load(Ordering::Acquire) {
-                    break; // readers hit the round cap; stop measuring
-                }
-                let ups =
-                    generate_updates(&net, MIXED_BATCH_EDGES, args.seed ^ 0xBEEF_0000 ^ i as u64);
-                service.try_apply_updates(&ups).map_err(|e| e.to_string())?;
-            }
-            updater_done.store(true, Ordering::Release);
-            Ok::<(), String>(())
-        });
-        while !updater_done.load(Ordering::Acquire) || mixed_rounds.len() < MIXED_ROUNDS {
-            let r = service.serve_batch_on(args.backend, batch, args.workers);
-            mixed_rounds.push(r.worst_p99_ns());
-            swaps += r.ops.epoch_swaps;
-            stale += r.ops.stale_epoch_reads;
-            if mixed_rounds.len() >= MIXED_ROUND_CAP {
-                break;
-            }
-        }
-        readers_stopped.store(true, Ordering::Release);
-        updater.join().expect("updater thread")
-    });
-    update_err?;
-    let applied = service.epoch() - epoch_before;
-
-    // Baseline: the same number of read-only rounds on the settled state.
-    let base_rounds: Vec<u64> = (0..mixed_rounds.len())
-        .map(|_| {
-            service
-                .serve_batch_on(args.backend, batch, args.workers)
-                .worst_p99_ns()
-        })
-        .collect();
-
-    // Median round rather than max: the tiniest class's per-round p99 is a
-    // max of ~20 samples, so a max-of-rounds aggregate measures scheduler
-    // jitter, not maintenance. The median round *during catch-up* is the
-    // tail a steady reader actually sees while epochs publish behind it.
-    let median = |mut v: Vec<u64>| -> u64 {
-        v.sort_unstable();
-        v.get(v.len() / 2).copied().unwrap_or(0)
-    };
-    let mixed_p99 = median(mixed_rounds.clone());
-    let base_p99 = median(base_rounds);
-    let ratio = if base_p99 > 0 {
-        mixed_p99 as f64 / base_p99 as f64
-    } else {
-        1.0
-    };
-    println!(
-        "\n== mixed read/update ({applied}/{update_batches} update batches x {MIXED_BATCH_EDGES} edges, {} reader rounds) ==",
-        mixed_rounds.len()
-    );
-    println!(
-        "  epochs {} -> {} ({swaps} swaps observed in-batch, {stale} stale-epoch reads)",
-        epoch_before,
-        service.epoch()
-    );
-    println!(
-        "  reader p99 (median round): {:.1}\u{b5}s baseline -> {:.1}\u{b5}s under maintenance (ratio {ratio:.2}x)",
-        base_p99 as f64 / 1e3,
-        mixed_p99 as f64 / 1e3
-    );
-    println!("p99_baseline_ns={base_p99} p99_concurrent_ns={mixed_p99} p99_ratio={ratio:.4} epoch_swaps={swaps}");
-    Ok(())
 }

@@ -202,6 +202,7 @@ impl std::str::FromStr for Backend {
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Session shards. More shards → less contention, colder caches.
+    /// 0 runs one shard.
     pub shards: usize,
     /// Buffer-pool pages per shard; the decode cache is sized off this
     /// (see [`SessionState::new`]). Sizing only moves fault counts and CPU
@@ -844,11 +845,6 @@ impl QueryService {
     /// Current maintenance epoch (bumped by every publish).
     pub fn epoch(&self) -> u64 {
         self.live_epoch.load(Ordering::Acquire)
-    }
-
-    /// Session shards per epoch.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
     }
 
     /// Serve a batch on the signature backend. See [`Self::serve_batch_on`].
@@ -1752,7 +1748,8 @@ impl QueryService {
         self.snapshot().for_each_state(SessionState::reset_stats);
     }
 
-    /// One-line stats dump: epoch, shards, merged I/O and op counters (via
+    /// One-line stats dump: epoch, the session stripes the epoch runs
+    /// (`ServiceConfig::shards`, at least one), merged I/O and op counters (via
     /// their `Display` summaries), plus maintenance and quarantine counters
     /// when any moved.
     pub fn stats_dump(&self) -> String {
@@ -1760,7 +1757,7 @@ impl QueryService {
         let mut s = format!(
             "epoch {} | {} shards | io: {} | ops: {}",
             ep.epoch,
-            self.num_shards(),
+            ep.shards.num_shards(),
             ep.merged_io_stats(),
             ep.merged_op_stats()
         );

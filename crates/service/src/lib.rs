@@ -33,9 +33,8 @@
 //!   throughput/IO reporting, including maintenance counters
 //!   (`epoch_swaps` / `stale_epoch_reads`).
 //!
-//! The `workload` binary drives all of it from the command line, including
-//! the mixed read/update mode (`--update-rate`) that measures how well
-//! concurrent maintenance hides behind reader tails.
+//! The `workload` binary drives all of it from the command line; the
+//! benchmark that measures it is `perfbench/` (see `BENCHMARK.json`).
 
 pub mod engine;
 mod exec;

@@ -141,12 +141,6 @@ impl BatchReport {
         self.degraded.iter().filter(|&&d| d).count()
     }
 
-    /// Worst per-class p99 latency in the batch, nanoseconds — the
-    /// single-number "reader tail" the mixed-maintenance comparisons use.
-    pub fn worst_p99_ns(&self) -> u64 {
-        self.per_class.values().map(|s| s.p99_ns).max().unwrap_or(0)
-    }
-
     /// Multi-line human-readable summary (workload driver, service logs).
     pub fn summary(&self) -> String {
         let mut out = format!(

@@ -52,8 +52,33 @@ cargo test --release -q --test label_maintenance
 cargo test --release -q --test persistence_and_cnn
 cargo test --release -q --test service_backends
 
-echo "== cargo bench --no-run (benches must keep compiling) =="
-cargo bench --workspace --no-run
+echo "== workload CLI smoke (the command-line driver README documents) =="
+# The service's driver on a 500-node network, through the paths README and
+# the verify notes drive: the hub-label backend, a publish, the shard
+# router, and a checksummed page file with readahead and SLO admission.
+# Each run must exit 0. A network too small to generate and a flag the CLI
+# does not have must be refused with a "workload:" message and a non-zero
+# exit, not a panic.
+workload() { cargo run --release -q -p dsi-service --bin workload -- "$@"; }
+for flags in "--queries 2000 --backend hl" "--queries 500 --updates 8" \
+    "--partitions 2" "--store file --readahead 8 --deadline-us 1000"; do
+    echo "-- workload --nodes 500 $flags --"
+    # shellcheck disable=SC2086 # word-split the flag list on purpose
+    workload --nodes 500 $flags >/dev/null
+done
+for flags in "--nodes 1" "--update-rate 1"; do
+    echo "-- workload $flags (must be refused) --"
+    # shellcheck disable=SC2086
+    if err="$(workload $flags 2>&1)"; then
+        echo "workload $flags exited 0"
+        exit 1
+    fi
+    if ! grep -q '^workload: ' <<<"$err"; then
+        echo "workload $flags failed without a workload: message:"
+        echo "$err"
+        exit 1
+    fi
+done
 
 echo "== fault matrix (service equivalence under injected storage faults) =="
 # Re-run the dsi-service fault suite under a matrix of fixed fault seeds:

@@ -7,7 +7,10 @@ use std::sync::OnceLock;
 use distance_signature::graph::generate::grid;
 use distance_signature::graph::io as gio;
 use distance_signature::prelude::*;
-use distance_signature::service::journal::{read_checkpoint, write_checkpoint};
+use distance_signature::service::journal::{
+    decode_records, encode_record, read_checkpoint, write_checkpoint, RECORD_LEN,
+};
+use distance_signature::service::{EdgeUpdate, JournalRecord, UpdateJournal};
 use distance_signature::signature::persist;
 use distance_signature::storage::{crc32, PageFile, StorageError, PAGE_SIZE};
 use proptest::prelude::*;
@@ -132,6 +135,97 @@ fn prelude_surface_compiles_and_works() {
     let _ = self_epsilon_join(&mut sess, 25);
     let _ = epsilon_join(&mut sess, &objects, 25);
     let _: Vec<CnnSegment> = continuous_knn(&mut sess, &[q], 2);
+}
+
+/// The journal header as the format spells it: `DSIJ`, then version 2.
+const JOURNAL_HEADER: &[u8; 8] = b"DSIJ\x02\x00\x00\x00";
+/// Version 1 (updates only), which still decodes.
+const JOURNAL_HEADER_V1: &[u8; 8] = b"DSIJ\x01\x00\x00\x00";
+
+/// A journal shaped like real maintenance — `n` updates, then one
+/// publish's intent and done markers — written by `UpdateJournal` and read
+/// back: its records and its bytes, which must be the header followed by
+/// one `encode_record` per record.
+fn journal_image(n: usize, tag: &str) -> (Vec<JournalRecord>, Vec<u8>) {
+    let updates: Vec<EdgeUpdate> = (0..n)
+        .map(|i| {
+            (
+                NodeId(i as u32),
+                NodeId((i * 7 + 1) as u32),
+                (i * 13 + 5) as Dist,
+            )
+        })
+        .collect();
+    let path =
+        std::env::temp_dir().join(format!("dsi_journal_fuzz_{}_{tag}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    {
+        let (mut journal, existing) = UpdateJournal::open(&path).expect("create journal");
+        assert!(existing.is_empty());
+        journal.append(&updates).expect("append updates");
+        journal
+            .append_control(JournalRecord::PublishIntent(1))
+            .expect("append intent");
+        journal
+            .append_control(JournalRecord::PublishDone(1))
+            .expect("append done");
+    }
+    let bytes = std::fs::read(&path).expect("read journal back");
+    std::fs::remove_file(&path).ok();
+
+    let mut records: Vec<JournalRecord> = updates.into_iter().map(JournalRecord::Update).collect();
+    records.extend([
+        JournalRecord::PublishIntent(1),
+        JournalRecord::PublishDone(1),
+    ]);
+    let mut expect = JOURNAL_HEADER.to_vec();
+    for (seq, &r) in records.iter().enumerate() {
+        expect.extend_from_slice(&encode_record(seq as u64, r));
+    }
+    assert_eq!(bytes, expect, "header, then one encoded record per append");
+    (records, bytes)
+}
+
+// The journal's robustness contract: a reader takes the longest valid
+// prefix. A cut keeps exactly the whole records before it; a flipped bit
+// keeps exactly the records before the damaged one, and a flip in the
+// header loses them all — unless it turns version 2 into version 1.
+#[test]
+fn journal_truncation_at_every_boundary_keeps_the_floor_prefix() {
+    let (records, bytes) = journal_image(6, "cut");
+    for cut in 0..=bytes.len() {
+        let got = decode_records(&bytes[..cut]);
+        let expect = cut.saturating_sub(JOURNAL_HEADER.len()) / RECORD_LEN;
+        assert_eq!(got.len(), expect, "cut at byte {cut}");
+        assert_eq!(got, records[..expect], "cut at byte {cut}");
+    }
+}
+
+#[test]
+fn journal_bit_flip_cuts_the_journal_at_the_damaged_record() {
+    let (records, bytes) = journal_image(4, "flip");
+    // Every single-bit flip, plus the one two-bit flip that turns version
+    // 2 into version 1 (bits 0 and 1 of byte 4): no single flip can.
+    let flips = (0..bytes.len())
+        .flat_map(|byte| (0..8).map(move |bit| (byte, 1u8 << bit)))
+        .chain([(4, 0b11)]);
+    for (byte, mask) in flips {
+        let mut bad = bytes.clone();
+        bad[byte] ^= mask;
+        let got = decode_records(&bad);
+        if byte < JOURNAL_HEADER.len() {
+            // A valid v1 header still decodes every record; any other
+            // header damage kills the journal.
+            if bad[..JOURNAL_HEADER.len()] == JOURNAL_HEADER_V1[..] {
+                assert_eq!(got, records, "v1 header flip at {byte}:{mask:#04x}");
+            } else {
+                assert!(got.is_empty(), "header flip at {byte}:{mask:#04x}");
+            }
+        } else {
+            let damaged = (byte - JOURNAL_HEADER.len()) / RECORD_LEN;
+            assert_eq!(got, records[..damaged], "flip at {byte}:{mask:#04x}");
+        }
+    }
 }
 
 /// One checkpoint, written once: a 12×12 grid with four objects, as the

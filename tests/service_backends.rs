@@ -14,7 +14,9 @@
 //! the same way (and a journal record carrying one makes recovery fail with
 //! `InvalidData`), while the largest admissible weight on all of node 14's
 //! edges is accepted and served exactly — by labels whose distance column
-//! then has to be `u32` wide — before and after a recovery.
+//! then has to be `u32` wide — before and after a recovery. A fifth
+//! configures zero session shards: the service runs one, answers exactly,
+//! and its stats dump reports the one it runs.
 
 use distance_signature::graph::generate::{random_planar, PlanarConfig};
 use distance_signature::graph::ids::max_weight;
@@ -119,6 +121,17 @@ fn every_backend_answers_like_dijkstra() {
     assert_eq!(service.num_partitions(), PARTITIONS);
     assert_backends_answer_like_dijkstra(&service, &batch(&service), "");
     assert_eq!(service.hierarchy_fallback_count(), 0);
+}
+
+#[test]
+fn a_zero_shard_config_runs_one_shard_and_reports_it() {
+    let service = service_with(ServiceConfig {
+        shards: 0,
+        ..ServiceConfig::default()
+    });
+    assert_backends_answer_like_dijkstra(&service, &batch(&service), "shards 0, ");
+    let dump = service.stats_dump();
+    assert!(dump.starts_with("epoch 0 | 1 shards | "), "{dump}");
 }
 
 /// Every other backend of `service` — signature, sharded and hub labels —
