@@ -44,11 +44,10 @@ struct Args {
     fault_rate: f64,
     corrupt_rate: f64,
     fault_seed: u64,
-    backend: Backend,
+    /// The `--backend` pick; without one, `--partitions` > 1 selects the
+    /// sharded router and anything else the signature index.
+    backend: Option<Backend>,
     partitions: usize,
-    /// Whether `--backend` explicitly picked the backend
-    /// (a `--partitions` > 1 auto-selects the sharded router otherwise).
-    backend_explicit: bool,
     store: StoreMode,
     readahead: u32,
     deadline_us: u64,
@@ -69,9 +68,8 @@ impl Default for Args {
             fault_rate: 0.0,
             corrupt_rate: 0.0,
             fault_seed: 0xFA01,
-            backend: Backend::Signature,
+            backend: None,
             partitions: 1,
-            backend_explicit: false,
             store: StoreMode::Mem,
             readahead: 0,
             deadline_us: 0,
@@ -95,10 +93,7 @@ fn parse_args() -> Result<Args, String> {
             "--fault-rate" => args.fault_rate = parse(&value("--fault-rate")?)?,
             "--corrupt-rate" => args.corrupt_rate = parse(&value("--corrupt-rate")?)?,
             "--fault-seed" => args.fault_seed = parse(&value("--fault-seed")?)?,
-            "--backend" => {
-                args.backend = value("--backend")?.parse()?;
-                args.backend_explicit = true;
-            }
+            "--backend" => args.backend = Some(value("--backend")?.parse()?),
             "--partitions" => args.partitions = parse(&value("--partitions")?)?,
             "--store" => args.store = value("--store")?.parse()?,
             "--readahead" => args.readahead = parse(&value("--readahead")?)?,
@@ -167,7 +162,7 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 }
 
 fn main() -> ExitCode {
-    let mut args = match parse_args() {
+    let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("workload: {e}");
@@ -176,10 +171,11 @@ fn main() -> ExitCode {
     };
     // Partitioned runs route through the shard router unless the user
     // explicitly pinned another backend (e.g. to A/B against `signature`).
-    if args.partitions > 1 && !args.backend_explicit {
-        args.backend = Backend::Sharded;
-    }
-    let args = args;
+    let backend = args.backend.unwrap_or(if args.partitions > 1 {
+        Backend::Sharded
+    } else {
+        Backend::Signature
+    });
 
     let mut rng = StdRng::seed_from_u64(args.seed);
     let net = random_planar(
@@ -229,7 +225,7 @@ fn main() -> ExitCode {
             ..Default::default()
         },
     );
-    println!("backend: {}", args.backend.label());
+    println!("backend: {}", backend.label());
     println!(
         "store: {} (readahead {})",
         args.store.label(),
@@ -266,7 +262,7 @@ fn main() -> ExitCode {
 
     for &workers in &worker_counts {
         service.reset_stats();
-        let report = service.serve_batch_on(args.backend, &batch, workers);
+        let report = service.serve_batch_on(backend, &batch, workers);
         println!("\n== {workers} worker(s) ==\n{}", report.summary());
     }
 
@@ -289,7 +285,7 @@ fn main() -> ExitCode {
             service.epoch(),
             changed
         );
-        let report = service.serve_batch_on(args.backend, &batch, args.workers);
+        let report = service.serve_batch_on(backend, &batch, args.workers);
         println!(
             "\n== post-update, {} worker(s) ==\n{}",
             args.workers,

@@ -122,14 +122,18 @@ pub fn encode_record(seq: u64, rec: JournalRecord) -> [u8; RECORD_LEN] {
     out
 }
 
+/// Whether `bytes` opens with a journal header this build reads (the
+/// current one or v1, whose records decode the same).
+fn header_ok(bytes: &[u8]) -> bool {
+    let h = bytes.get(..JOURNAL_HEADER.len());
+    h.is_some_and(|h| h == JOURNAL_HEADER.as_slice() || h == JOURNAL_HEADER_V1.as_slice())
+}
+
 /// Decode the longest valid prefix of a journal image: header, then records
 /// until the first missing, torn, corrupt, or malformed one. Never fails —
 /// a damaged journal simply yields the records that verifiably survived.
 pub fn decode_records(bytes: &[u8]) -> Vec<JournalRecord> {
-    let header_ok = bytes.len() >= JOURNAL_HEADER.len()
-        && (bytes[..JOURNAL_HEADER.len()] == JOURNAL_HEADER
-            || bytes[..JOURNAL_HEADER.len()] == JOURNAL_HEADER_V1);
-    if !header_ok {
+    if !header_ok(bytes) {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -179,9 +183,7 @@ impl UpdateJournal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let records = decode_records(&bytes);
-        let header_ok = bytes
-            .get(..JOURNAL_HEADER.len())
-            .is_some_and(|h| h == JOURNAL_HEADER.as_slice() || h == JOURNAL_HEADER_V1.as_slice());
+        let header_ok = header_ok(&bytes);
         if !header_ok {
             // New, empty, torn-header, or foreign file: restart it. A new
             // file's directory entry is made durable below.

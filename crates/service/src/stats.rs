@@ -54,12 +54,13 @@ impl ClassStats {
 /// Per-partition counters for the sharded backend: queries routed to the
 /// partition, its session stripe's page accesses, and hub-label glue
 /// lookups performed while stitching cross-partition answers. Appears both
-/// as a cumulative snapshot ([`crate::QueryService::per_partition_stats`])
-/// and as a per-batch delta ([`BatchReport::per_part`]).
+/// as a cumulative snapshot (the partition lines of
+/// [`crate::QueryService::stats_dump`]) and as a per-batch delta
+/// ([`BatchReport::per_part`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PartStats {
-    /// Queries whose ladder ran on this partition's stripe (joins count
-    /// once per partition they visit).
+    /// Queries whose ladder ran on this partition's stripe (a join runs on
+    /// the epoch's single index and counts on no partition).
     pub queries: u64,
     /// Page accesses charged to this partition's session.
     pub io: IoStats,

@@ -132,7 +132,10 @@ fn latency_storm_sheds_but_stays_exact() {
         },
     );
 
-    let got = stormed.serve_batch_on(Backend::Signature, &batch, 2);
+    // One worker on the counted side: how many queries shed depends on the
+    // queue behind each and on which completions trained the estimator
+    // first, and more workers interleave both.
+    let got = stormed.serve_batch_on(Backend::Signature, &batch, 1);
     let want = truth.serve_batch_on(Backend::Signature, &batch, 2);
     assert_exact(&got.outputs, &want.outputs, "stormed vs reference");
 
@@ -167,6 +170,8 @@ fn latency_storm_sheds_but_stays_exact() {
         "summary lacks the admission line:\n{summary}"
     );
     assert!(stormed.stats_dump().contains("admission:"));
+    let parallel = stormed.serve_batch_on(Backend::Signature, &batch, 2);
+    assert_exact(&parallel.outputs, &want.outputs, "stormed on 2 workers");
 }
 
 #[test]

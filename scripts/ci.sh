@@ -26,6 +26,8 @@ echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
+# A superset of tier-1 (`cargo test -q`, whose default members are the root
+# package and every crate): it repeats those tests and adds the shims' own.
 cargo test --workspace -q
 
 echo "== cargo test --release (the optimised kernels are the ones under test) =="
@@ -35,8 +37,10 @@ echo "== cargo test --release (the optimised kernels are the ones under test) ==
 # label route against the forest route and a fresh build after every
 # publish, tests/label_maintenance.rs, which also pins the maintained
 # object-pair table to a fresh build's: a self-join below the last
-# category's lower bound reads that table and no page) and the signature
-# codec once more
+# category's lower bound reads that table and no page), the chain of
+# pure epoch repairs a publish runs against a fresh build, answered on
+# the signature, hub-label and Dijkstra backends with no thread (the
+# service's epoch::tests) and the signature codec once more
 # as the benchmark and a publish run them: release arithmetic, debug
 # assertions compiled out. The storage crate and the persistence tests
 # run here too: the slicing-by-16 CRC-32 that verifies every buffer miss
@@ -49,6 +53,7 @@ echo "== cargo test --release (the optimised kernels are the ones under test) ==
 # (tests/service_backends.rs).
 cargo test --release -q -p dsi-graph -p dsi-hierarchy -p dsi-signature -p dsi-storage
 cargo test --release -q --test label_maintenance
+cargo test --release -q -p dsi-service --lib a_chain_of_repairs_is_a_fresh_build
 cargo test --release -q --test persistence_and_cnn
 cargo test --release -q --test service_backends
 
